@@ -28,7 +28,7 @@ def main():
     print(f"{'n':>6} {'gap':>10} {'se':>9} {'bound':>10} {'ratio':>8}")
     for k in range(1, 11):
         n = 2**k
-        gap, _ = empirical_gap(iid_standard_spec(n), zero_spec(n), samples, seed=100 + k)
+        _, _, gap = empirical_gap(iid_standard_spec(n), zero_spec(n), samples, seed=100 + k)
         bound = sf_bound(2.0, n)
         print(
             f"{n:>6} {gap.value:>10.5f} {gap.stderr:>9.5f}"

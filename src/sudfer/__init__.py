@@ -28,7 +28,6 @@ from .errors import (
     DomainError,
     EmptyInput,
     FactorizationFailure,
-    IndexOutOfRange,
     InvalidInput,
     MeanMismatch,
     NotCentered,
@@ -59,7 +58,6 @@ from .experiments import (
 from .gaussian import (
     GaussianSpec,
     IncrementMatrix,
-    SampleBatch,
     blended_spec,
     derive_seed,
     increment_matrix,
@@ -76,20 +74,16 @@ from .reports import (
 from .interpolation import (
     DerivativeEstimate,
     PathMonotonicityReport,
-    PathPoint,
     path_monotonicity_report,
-    path_point,
     phi,
     phi_derivative_explicit,
     phi_derivative_fd,
-    stein_residual,
     stein_residuals,
 )
 from .smoothmax import (
     SmoothMaxParams,
     sandwich_gap,
     smooth_max,
-    smooth_max_gradient,
     smooth_max_hessian,
     softmax,
 )
@@ -108,7 +102,6 @@ __all__ = [
     "FactorizationFailure",
     "GaussianSpec",
     "IncrementMatrix",
-    "IndexOutOfRange",
     "InvalidInput",
     "MCEstimate",
     "MeanMismatch",
@@ -116,8 +109,6 @@ __all__ = [
     "NotPSD",
     "NotSymmetric",
     "PathMonotonicityReport",
-    "PathPoint",
-    "SampleBatch",
     "SmoothMaxParams",
     "SudferError",
     "UnknownGenerator",
@@ -135,7 +126,6 @@ __all__ = [
     "increment_matrix",
     "optimal_beta",
     "path_monotonicity_report",
-    "path_point",
     "phi",
     "phi_derivative_explicit",
     "phi_derivative_fd",
@@ -152,11 +142,9 @@ __all__ = [
     "sandwich_gap",
     "sf_bound",
     "smooth_max",
-    "smooth_max_gradient",
     "smooth_max_hessian",
     "softmax",
     "spec_from_document",
-    "stein_residual",
     "stein_residuals",
     "validate_spec",
     "write_report",

@@ -41,10 +41,6 @@ class DomainError(SudferError, ValueError):
     """A scalar argument lies outside its required open interval."""
 
 
-class IndexOutOfRange(SudferError, IndexError):
-    """Coordinate index outside [0, n)."""
-
-
 class NotCentered(SudferError, ValueError):
     """An operation requiring a centered law received a nonzero mean."""
 

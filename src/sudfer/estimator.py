@@ -55,17 +55,13 @@ def estimate_from_values(values: np.ndarray, seed: int) -> MCEstimate:
     )
 
 
-def max_values(spec: GaussianSpec, samples: int, seed: int) -> np.ndarray:
-    """Per-draw rowwise maxima, streamed in shard order."""
+def expected_max_mc(spec: GaussianSpec, samples: int, seed: int) -> MCEstimate:
+    """Monte Carlo estimate of E max_i V_i from rowwise maxima streamed in
+    shard order.  Deterministic per (spec, samples, seed)."""
     if samples < 2:
         raise InvalidInput(f"samples must be >= 2, got {samples}")
     parts = [shard.max(axis=1) for shard in iter_sample_shards(spec, samples, seed)]
-    return np.concatenate(parts)
-
-
-def expected_max_mc(spec: GaussianSpec, samples: int, seed: int) -> MCEstimate:
-    """Monte Carlo estimate of E max_i V_i.  Deterministic per (spec, samples, seed)."""
-    return estimate_from_values(max_values(spec, samples, seed), seed)
+    return estimate_from_values(np.concatenate(parts), seed)
 
 
 def _phi(z: float) -> float:
@@ -96,17 +92,16 @@ def empirical_gap(
     spec_y: GaussianSpec,
     samples: int,
     seed: int,
-) -> tuple[MCEstimate, MCEstimate]:
-    """(gap, abs_gap) between independently estimated expected maxima.
+) -> tuple[MCEstimate, MCEstimate, MCEstimate]:
+    """(est_x, est_y, gap): both expected maxima and their difference.
 
     The two laws are sampled on distinct substreams derived from the one
-    seed; the gap's stderr combines the two in quadrature, and abs_gap
-    shares it.
+    seed, so the estimates are independent and the gap's stderr combines
+    theirs in quadrature.
     """
     est_x = expected_max_mc(spec_x, samples, derive_seed(seed, 0))
     est_y = expected_max_mc(spec_y, samples, derive_seed(seed, 1))
     value = est_x.value - est_y.value
     stderr = math.hypot(est_x.stderr, est_y.stderr)
     gap = MCEstimate(value=value, stderr=stderr, samples=samples, seed=check_seed(seed))
-    abs_gap = MCEstimate(value=abs(value), stderr=stderr, samples=samples, seed=check_seed(seed))
-    return gap, abs_gap
+    return est_x, est_y, gap

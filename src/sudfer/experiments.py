@@ -11,6 +11,7 @@ expected false-positive rate.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Any
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__
 from .bounds import certify, gamma_discrepancy, optimal_beta
 from .errors import ConfigError, SudferError, UnknownGenerator
-from .estimator import expected_max_mc
+from .estimator import empirical_gap
 from .gaussian import GaussianSpec, check_seed, derive_seed, increment_matrix, validate_spec
 from .interpolation import DEFAULT_GRID, path_monotonicity_report, phi, stein_residuals
 from .reports import ExperimentReport
@@ -93,6 +94,13 @@ def dominated_pair(n: int, seed: int, generator: str) -> tuple[GaussianSpec, Gau
     return spec_x, spec_y
 
 
+def _integer(name: str, value: Any) -> int:
+    """``value`` as a plain int; floats and bools are rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment run depends on.
@@ -124,6 +132,8 @@ class ExperimentConfig:
             raise ConfigError(f"generator must be one of {GENERATORS}, got {self.generator!r}")
         if self.format not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}, got {self.format!r}")
+        for name in ("samples", "trials", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.samples < 2:
             raise ConfigError(f"samples must be >= 2, got {self.samples}")
         if self.trials < 1:
@@ -133,9 +143,9 @@ class ExperimentConfig:
         except SudferError as exc:
             raise ConfigError(str(exc)) from exc
         if isinstance(self.n, (list, tuple)):
-            object.__setattr__(self, "n", tuple(int(v) for v in self.n))
+            object.__setattr__(self, "n", tuple(_integer("n", v) for v in self.n))
         elif self.n is not None:
-            object.__setattr__(self, "n", int(self.n))
+            object.__setattr__(self, "n", _integer("n", self.n))
         for v in self.n_list(default=(1,)):
             if v < 1:
                 raise ConfigError(f"n values must be >= 1, got {v}")
@@ -151,7 +161,7 @@ class ExperimentConfig:
                 b = float(self.beta)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f'beta must be "auto" or a positive float, got {self.beta!r}') from exc
-            if not (math.isfinite(b) and b > 0.0):
+            if isinstance(self.beta, bool) or not (math.isfinite(b) and b > 0.0):
                 raise ConfigError(f'beta must be "auto" or a positive float, got {self.beta!r}')
             object.__setattr__(self, "beta", b)
         if self.generator == "explicit" and self.spec_x is None:
@@ -204,15 +214,23 @@ def _z_score(excess: float, stderr: float) -> float:
     return 0.0 if excess <= 0.0 else 1e300
 
 
-def _trial_pair(config: ExperimentConfig, n: int, trial: int) -> tuple[GaussianSpec, GaussianSpec]:
+def _trial_spec(config: ExperimentConfig, n: int, trial_seed: int, which: int) -> GaussianSpec:
+    """Law ``which`` (0: X, 1: Y) of a trial; an explicit Y falls back to X."""
     if config.generator == "explicit":
-        spec_x = spec_from_document(config.spec_x)
-        spec_y = spec_from_document(config.spec_y) if config.spec_y is not None else spec_x
-        return spec_x, spec_y
-    trial_seed = derive_seed(config.seed, trial)
-    return (
-        random_spec(n, derive_seed(trial_seed, 0), config.generator),
-        random_spec(n, derive_seed(trial_seed, 1), config.generator),
+        doc = config.spec_y if which == 1 and config.spec_y is not None else config.spec_x
+        return spec_from_document(doc)
+    return random_spec(n, derive_seed(trial_seed, which), config.generator)
+
+
+def _report(
+    config: ExperimentConfig, records: list[dict[str, Any]], summary: dict[str, Any], started: float
+) -> ExperimentReport:
+    return ExperimentReport(
+        config=config.echo(),
+        records=records,
+        summary=summary,
+        version=__version__,
+        duration_seconds=time.perf_counter() - started,
     )
 
 
@@ -226,17 +244,14 @@ def run_bound_check(config: ExperimentConfig) -> ExperimentReport:
     passes = fails = skipped = 0
     for trial in range(config.trials):
         n = ns[trial % len(ns)]
-        spec_x, spec_y = _trial_pair(config, n, trial)
+        trial_seed = derive_seed(config.seed, trial)
+        spec_x, spec_y = (_trial_spec(config, n, trial_seed, which) for which in (0, 1))
         cert = certify(spec_x, spec_y)
-        gap_seed = derive_seed(derive_seed(config.seed, trial), 2)
-        est_x = expected_max_mc(spec_x, config.samples, derive_seed(gap_seed, 0))
-        est_y = expected_max_mc(spec_y, config.samples, derive_seed(gap_seed, 1))
-        gap = est_x.value - est_y.value
-        stderr = math.hypot(est_x.stderr, est_y.stderr)
-        abs_gap = abs(gap)
-        z = _z_score(abs_gap - cert.bound, stderr)
+        est_x, est_y, gap = empirical_gap(spec_x, spec_y, config.samples, derive_seed(trial_seed, 2))
+        abs_gap = abs(gap.value)
+        z = _z_score(abs_gap - cert.bound, gap.stderr)
         if cert.means_equal:
-            ok = abs_gap <= cert.bound + 3.0 * stderr
+            ok = abs_gap <= cert.bound + 3.0 * gap.stderr
             passes += ok
             fails += not ok
             max_z = max(max_z, z)
@@ -259,9 +274,9 @@ def run_bound_check(config: ExperimentConfig) -> ExperimentReport:
                 "emax_x_stderr": est_x.stderr,
                 "emax_y": est_y.value,
                 "emax_y_stderr": est_y.stderr,
-                "gap": gap,
+                "gap": gap.value,
                 "abs_gap": abs_gap,
-                "gap_stderr": stderr,
+                "gap_stderr": gap.stderr,
                 "z_score": z,
                 "pass": verdict,
             }
@@ -274,13 +289,7 @@ def run_bound_check(config: ExperimentConfig) -> ExperimentReport:
         "max_violation_z": max_z,
         "pass": fails == 0,
     }
-    return ExperimentReport(
-        config=config.echo(),
-        records=records,
-        summary=summary,
-        version=__version__,
-        duration_seconds=time.perf_counter() - started,
-    )
+    return _report(config, records, summary, started)
 
 
 def run_sharpness(config: ExperimentConfig) -> ExperimentReport:
@@ -301,11 +310,9 @@ def run_sharpness(config: ExperimentConfig) -> ExperimentReport:
         spec_x = iid_standard_spec(n)
         spec_y = zero_spec(n)
         cert = certify(spec_x, spec_y)
-        run_seed = derive_seed(config.seed, idx)
-        est_x = expected_max_mc(spec_x, config.samples, derive_seed(run_seed, 0))
-        est_y = expected_max_mc(spec_y, config.samples, derive_seed(run_seed, 1))
-        abs_gap = abs(est_x.value - est_y.value)
-        stderr = math.hypot(est_x.stderr, est_y.stderr)
+        est_x, est_y, gap = empirical_gap(spec_x, spec_y, config.samples, derive_seed(config.seed, idx))
+        abs_gap = abs(gap.value)
+        stderr = gap.stderr
         ratio = abs_gap / cert.bound
         ratio_stderr = stderr / cert.bound
         ok = abs_gap <= cert.bound + 3.0 * stderr
@@ -336,13 +343,7 @@ def run_sharpness(config: ExperimentConfig) -> ExperimentReport:
         "nondecreasing_within_noise": nondecreasing,
         "pass": all_pass and nondecreasing,
     }
-    return ExperimentReport(
-        config=config.echo(),
-        records=records,
-        summary=summary,
-        version=__version__,
-        duration_seconds=time.perf_counter() - started,
-    )
+    return _report(config, records, summary, started)
 
 
 def run_path_diagnostics(config: ExperimentConfig) -> ExperimentReport:
@@ -362,7 +363,7 @@ def run_path_diagnostics(config: ExperimentConfig) -> ExperimentReport:
         n = ns[trial % len(ns)]
         trial_seed = derive_seed(config.seed, trial)
         if config.generator == "explicit":
-            spec_x, spec_y = _trial_pair(config, n, trial)
+            spec_x, spec_y = (_trial_spec(config, n, trial_seed, which) for which in (0, 1))
         else:
             spec_x, spec_y = dominated_pair(n, trial_seed, config.generator)
         gamma = gamma_discrepancy(increment_matrix(spec_x), increment_matrix(spec_y))
@@ -415,13 +416,7 @@ def run_path_diagnostics(config: ExperimentConfig) -> ExperimentReport:
         "endpoints": endpoints,
         "pass": all_pass,
     }
-    return ExperimentReport(
-        config=config.echo(),
-        records=records,
-        summary=summary,
-        version=__version__,
-        duration_seconds=time.perf_counter() - started,
-    )
+    return _report(config, records, summary, started)
 
 
 def run_stein_check(config: ExperimentConfig) -> ExperimentReport:
@@ -434,10 +429,7 @@ def run_stein_check(config: ExperimentConfig) -> ExperimentReport:
     for trial in range(config.trials):
         n = ns[trial % len(ns)]
         trial_seed = derive_seed(config.seed, trial)
-        if config.generator == "explicit":
-            spec = spec_from_document(config.spec_x)
-        else:
-            spec = random_spec(n, derive_seed(trial_seed, 0), config.generator)
+        spec = _trial_spec(config, n, trial_seed, 0)
         beta = float(config.beta) if config.beta != "auto" else FALLBACK_BETA
         params = SmoothMaxParams(beta)
         residuals = stein_residuals(spec, params, config.samples, derive_seed(trial_seed, 1))
@@ -463,13 +455,7 @@ def run_stein_check(config: ExperimentConfig) -> ExperimentReport:
         "pass_rate": rate,
         "pass": rate >= 0.99,
     }
-    return ExperimentReport(
-        config=config.echo(),
-        records=records,
-        summary=summary,
-        version=__version__,
-        duration_seconds=time.perf_counter() - started,
-    )
+    return _report(config, records, summary, started)
 
 
 _RUNNERS = {

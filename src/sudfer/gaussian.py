@@ -21,8 +21,7 @@ never change the result.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,14 +113,6 @@ class GaussianSpec:
     def n(self) -> int:
         return self.mean.shape[0]
 
-    def fingerprint(self) -> str:
-        """Stable hash of (mean, covariance), identifying the generating law."""
-        h = hashlib.sha256()
-        h.update(np.int64(self.n).tobytes())
-        h.update(self.mean.tobytes())
-        h.update(self.covariance.tobytes())
-        return h.hexdigest()[:16]
-
 
 @dataclass(frozen=True, eq=False)
 class IncrementMatrix:
@@ -151,30 +142,6 @@ class IncrementMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class SampleBatch:
-    """One batch of iid draws, tagged with its seed and the law that made it."""
-
-    draws: np.ndarray
-    seed: int
-    spec_fingerprint: str = field(default="")
-
-    def __post_init__(self) -> None:
-        draws = np.asarray(self.draws, dtype=np.float64)
-        if draws.ndim != 2 or draws.shape[0] < 1:
-            raise DimensionMismatch(f"draws must be a count x n matrix, got {draws.shape}")
-        object.__setattr__(self, "draws", _as_readonly(draws))
-        object.__setattr__(self, "seed", check_seed(self.seed))
-
-    @property
-    def count(self) -> int:
-        return self.draws.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.draws.shape[1]
 
 
 def validate_spec(mean, covariance) -> GaussianSpec:
@@ -244,7 +211,6 @@ def _factor(spec: GaussianSpec) -> np.ndarray:
 def _transform(z: np.ndarray, factor: np.ndarray, mean: np.ndarray) -> np.ndarray:
     # Diagonal factors (iid / independent coordinates) skip the O(n^2) matmul;
     # with a single nonzero per row the results coincide bitwise.
-    n = factor.shape[0]
     if np.count_nonzero(factor) == np.count_nonzero(np.diagonal(factor)):
         return z * np.diagonal(factor) + mean
     return z @ factor.T + mean
@@ -255,7 +221,7 @@ def iter_sample_shards(spec: GaussianSpec, count: int, seed: int):
 
     Shard k holds rows [k*SHARD_ROWS, ...) and is drawn from the substream
     derived from (seed, k).  Concatenating the yielded arrays gives exactly
-    ``sample(spec, count, seed).draws``.
+    ``sample(spec, count, seed)``.
     """
     if count < 1:
         raise InvalidInput(f"count must be >= 1, got {count}")
@@ -278,10 +244,9 @@ def iter_sample_shards(spec: GaussianSpec, count: int, seed: int):
         k += 1
 
 
-def sample(spec: GaussianSpec, count: int, seed: int) -> SampleBatch:
-    """Draw ``count`` iid rows from the law.  Deterministic per (spec, count, seed)."""
-    draws = np.concatenate(list(iter_sample_shards(spec, count, seed)), axis=0)
-    return SampleBatch(draws, seed, spec.fingerprint())
+def sample(spec: GaussianSpec, count: int, seed: int) -> np.ndarray:
+    """Draw ``count`` iid rows as a (count x n) array.  Deterministic per (spec, count, seed)."""
+    return np.concatenate(list(iter_sample_shards(spec, count, seed)), axis=0)
 
 
 def means_equal(spec_x: GaussianSpec, spec_y: GaussianSpec) -> bool:

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .bounds import check_domination
-from .errors import DomainError, IndexOutOfRange, InvalidInput, NotCentered
+from .errors import DomainError, InvalidInput, NotCentered
 from .estimator import MCEstimate, estimate_from_values
 from .gaussian import (
     GaussianSpec,
@@ -48,17 +49,12 @@ FD_STEP_CAP = 1e-3
 DEFAULT_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
-@dataclass(frozen=True, eq=False)
-class PathPoint:
-    """One point of the path: the time t and the law of Z_t."""
-
-    t: float
-    blended: GaussianSpec
-
-
 @dataclass(frozen=True)
 class DerivativeEstimate:
-    """Two independent estimates of the same phi'(t), kept side by side."""
+    """Two estimates of the same phi'(t) from the same draws, kept side by side.
+
+    ``combined_stderr`` treats them as independent although the shared draws
+    correlate them; CHANGES.md records this as an open defect."""
 
     explicit: MCEstimate
     finite_difference: MCEstimate
@@ -86,11 +82,6 @@ class PathMonotonicityReport:
     points: tuple[DerivativeEstimate, ...]
     flagged: tuple[int, ...]
     dominated_xy: bool
-
-
-def path_point(spec_x: GaussianSpec, spec_y: GaussianSpec, t: float) -> PathPoint:
-    """The law of Z_t, packaged with its time."""
-    return PathPoint(t=float(t), blended=blended_spec(spec_x, spec_y, t))
 
 
 def _phi_values(
@@ -181,13 +172,6 @@ def phi_derivative_fd(
     return estimate_from_values((upper - lower) / (2.0 * h), seed)
 
 
-def _default_functional(params: SmoothMaxParams):
-    return (
-        lambda rows: smooth_max(rows, params),
-        lambda rows: softmax(rows, params),
-    )
-
-
 def stein_residual_values(
     spec: GaussianSpec,
     params: SmoothMaxParams,
@@ -215,7 +199,7 @@ def stein_residual_values(
     if (functional is None) != (gradient is None):
         raise InvalidInput("functional and gradient must be overridden together")
     if functional is None:
-        functional, gradient = _default_functional(params)
+        functional, gradient = partial(smooth_max, params=params), partial(softmax, params=params)
     cov = spec.covariance
     parts = []
     for shard in iter_sample_shards(spec, samples, seed):
@@ -223,23 +207,6 @@ def stein_residual_values(
         g = np.asarray(gradient(shard), dtype=np.float64)
         parts.append(shard * f[:, None] - g @ cov)
     return np.concatenate(parts, axis=0)
-
-
-def stein_residual(
-    spec: GaussianSpec,
-    params: SmoothMaxParams,
-    i: int,
-    samples: int,
-    seed: int,
-    functional: Callable[[np.ndarray], np.ndarray] | None = None,
-    gradient: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> MCEstimate:
-    """Residual estimate for coordinate i (0-based); zero within noise when
-    the identity holds."""
-    if not (0 <= i < spec.n):
-        raise IndexOutOfRange(f"coordinate {i} outside [0, {spec.n})")
-    values = stein_residual_values(spec, params, samples, seed, functional, gradient)
-    return estimate_from_values(values[:, i], seed)
 
 
 def stein_residuals(

@@ -60,15 +60,10 @@ def smooth_max(x, params: SmoothMaxParams):
 
 
 def softmax(x, params: SmoothMaxParams):
-    """p_i(x) = exp(b*x_i) / sum_j exp(b*x_j), max-subtracted."""
+    """p_i(x) = exp(b*x_i) / sum_j exp(b*x_j), max-subtracted: the gradient of F_b."""
     a = _check_vectors(x)
     e = np.exp(params.beta * (a - a.max(axis=-1, keepdims=True)))
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def smooth_max_gradient(x, params: SmoothMaxParams):
-    """Gradient of F_b, which is exactly the softmax vector."""
-    return softmax(x, params)
 
 
 def smooth_max_hessian(x, params: SmoothMaxParams):

@@ -29,7 +29,6 @@ from sudfer import (
     sandwich_gap,
     sf_bound,
     smooth_max,
-    smooth_max_gradient,
     smooth_max_hessian,
     softmax,
     stein_residuals,
@@ -105,7 +104,7 @@ def test_dominated_pairs_preserve_expected_max_order():
     for trial in range(50):
         n = ns[trial % len(ns)]
         x, y = dominated_pair(n, seed=3000 + trial, generator="wishart")
-        gap, _ = empirical_gap(x, y, 10**5, seed=4000 + trial)
+        _, _, gap = empirical_gap(x, y, 10**5, seed=4000 + trial)
         worst = max(worst, gap.value / gap.stderr)
         if gap.value > 3.0 * gap.stderr:
             violations += 1
@@ -199,7 +198,7 @@ def test_smoothmax_calculus_matches_finite_differences():
         n = int(rng.integers(2, 9))
         x = rng.uniform(-1.0, 1.0, size=n)
         params = SmoothMaxParams(float(rng.uniform(0.5, 2.0)))
-        g = smooth_max_gradient(x, params)
+        g = softmax(x, params)
         hess = smooth_max_hessian(x, params)
         fd_g = np.empty(n)
         fd_h = np.empty((n, n))

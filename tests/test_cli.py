@@ -58,6 +58,24 @@ class TestConfigAssembly:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "config.json" in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 2.7),
+            ("n", [2, 3.5]),
+            ("samples", 1000.0),
+            ("trials", 1.9),
+            ("seed", True),
+            ("beta", True),
+        ],
+    )
+    def test_malformed_numbers_are_config_errors(self, tmp_path, capsys, field, value):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"samples": 2000, "trials": 1, field: value}))
+        assert main(["bound-check", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
     def test_explicit_specs_come_from_the_document(self, tmp_path):
         doc = {
             "generator": "explicit",

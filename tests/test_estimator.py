@@ -139,18 +139,16 @@ class TestBivariateClosedForm:
 class TestEmpiricalGap:
     def test_identical_specs_gap_near_zero(self):
         spec = validate_spec(np.zeros(4), np.eye(4))
-        gap, abs_gap = empirical_gap(spec, spec, 10**5, seed=21)
+        _, _, gap = empirical_gap(spec, spec, 10**5, seed=21)
         assert abs(gap.value) <= 3.0 * gap.stderr
-        assert abs_gap.value == abs(gap.value)
-        assert abs_gap.stderr == gap.stderr
 
     def test_iid_vs_zero_matches_oracle(self):
         # E max of 16 iid standard normals, per the order-statistic
         # quadrature in oracles.py (MC-confirmed at 1e7 samples).
         x = validate_spec(np.zeros(16), np.eye(16))
         y = validate_spec(np.zeros(16), np.zeros((16, 16)))
-        _, abs_gap = empirical_gap(x, y, 2 * 10**5, seed=23)
-        assert abs(abs_gap.value - 1.7659913931) <= 3.0 * abs_gap.stderr
+        _, _, gap = empirical_gap(x, y, 2 * 10**5, seed=23)
+        assert abs(abs(gap.value) - 1.7659913931) <= 3.0 * gap.stderr
 
     def test_shift_of_both_means_cancels(self):
         rng = np.random.default_rng(27)
@@ -159,19 +157,20 @@ class TestEmpiricalGap:
         cov = (cov + cov.T) / 2.0
         x = validate_spec(np.zeros(3), cov)
         y = validate_spec(np.zeros(3), np.eye(3))
-        gap, _ = empirical_gap(x, y, 10**4, seed=29)
+        _, _, gap = empirical_gap(x, y, 10**4, seed=29)
         xs = validate_spec(x.mean + 2.5, cov)
         ys = validate_spec(y.mean + 2.5, np.eye(3))
-        gap_shifted, _ = empirical_gap(xs, ys, 10**4, seed=29)
+        _, _, gap_shifted = empirical_gap(xs, ys, 10**4, seed=29)
         assert gap_shifted.value == pytest.approx(gap.value, abs=1e-10)
 
     def test_stderr_combines_in_quadrature(self):
         x = validate_spec(np.zeros(2), np.eye(2))
         y = validate_spec(np.zeros(2), 2.0 * np.eye(2))
-        gap, _ = empirical_gap(x, y, 10**4, seed=31)
+        est_x, est_y, gap = empirical_gap(x, y, 10**4, seed=31)
         from sudfer import derive_seed
 
         ex = expected_max_mc(x, 10**4, derive_seed(31, 0))
         ey = expected_max_mc(y, 10**4, derive_seed(31, 1))
+        assert est_x == ex and est_y == ey
         assert gap.value == ex.value - ey.value
         assert gap.stderr == pytest.approx(math.hypot(ex.stderr, ey.stderr), abs=0)

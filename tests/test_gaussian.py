@@ -69,12 +69,6 @@ class TestValidateSpec:
         assert np.linalg.eigvalsh(spec.covariance)[0] >= -1e-18
         assert np.array_equal(spec.covariance, spec.covariance.T)
 
-    def test_fingerprint_distinguishes_specs(self):
-        a = validate_spec([0.0], [[1.0]])
-        b = validate_spec([0.0], [[2.0]])
-        assert a.fingerprint() == validate_spec([0.0], [[1.0]]).fingerprint()
-        assert a.fingerprint() != b.fingerprint()
-
 
 class TestSeeds:
     def test_check_seed_range(self):
@@ -105,7 +99,7 @@ class TestIncrementMatrix:
         rng = np.random.default_rng(11)
         spec = random_psd_spec(rng, 4)
         g = increment_matrix(spec).entries
-        draws = sample(spec, 10**6, seed=902).draws
+        draws = sample(spec, 10**6, seed=902)
         for i in range(4):
             for j in range(4):
                 d = (draws[:, i] - draws[:, j]) ** 2
@@ -138,19 +132,19 @@ class TestIncrementMatrix:
 class TestSample:
     def test_degenerate_law_repeats_the_mean(self):
         spec = validate_spec([3.0, -1.0], np.zeros((2, 2)))
-        batch = sample(spec, 50, seed=1)
-        assert np.all(batch.draws == np.array([3.0, -1.0]))
-        assert batch.count == 50 and batch.n == 2
+        draws = sample(spec, 50, seed=1)
+        assert np.all(draws == np.array([3.0, -1.0]))
+        assert draws.shape == (50, 2)
 
     def test_identity_covariance_moments(self):
         spec = validate_spec(np.zeros(3), np.eye(3))
-        draws = sample(spec, 10**6, seed=42).draws
+        draws = sample(spec, 10**6, seed=42)
         assert np.all(np.abs(draws.mean(axis=0)) < 4e-3)
         assert np.all(np.abs(draws.var(axis=0, ddof=1) - 1.0) < 1e-2)
 
     def test_correlated_pair_sample_correlation(self):
         spec = validate_spec([0.0, 0.0], [[1.0, 0.9], [0.9, 1.0]])
-        draws = sample(spec, 10**6, seed=5).draws
+        draws = sample(spec, 10**6, seed=5)
         corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
         assert abs(corr - 0.9) < 1e-2
 
@@ -158,20 +152,20 @@ class TestSample:
         rng = np.random.default_rng(3)
         spec = random_psd_spec(rng, 3)
         count = SHARD_ROWS + 257  # forces a partial second shard
-        a = sample(spec, count, seed=99).draws
-        b = sample(spec, count, seed=99).draws
+        a = sample(spec, count, seed=99)
+        b = sample(spec, count, seed=99)
         assert np.array_equal(a, b)
         shards = list(iter_sample_shards(spec, count, seed=99))
         assert [s.shape[0] for s in shards] == [SHARD_ROWS, 257]
         assert np.array_equal(np.concatenate(shards), a)
-        c = sample(spec, count, seed=100).draws
+        c = sample(spec, count, seed=100)
         assert not np.array_equal(a, c)
 
     def test_prefix_property_of_shards(self):
         # Asking for fewer rows yields a prefix of the longer batch.
         spec = validate_spec(np.zeros(2), np.eye(2))
-        long = sample(spec, 300, seed=8).draws
-        short = sample(spec, 120, seed=8).draws
+        long = sample(spec, 300, seed=8)
+        short = sample(spec, 120, seed=8)
         assert np.array_equal(long[:120], short)
 
     def test_count_validation(self):

@@ -9,23 +9,21 @@ from oracles import gaussian_expectation_2d_quad
 
 from sudfer import (
     DomainError,
-    IndexOutOfRange,
     InvalidInput,
     NotCentered,
     SmoothMaxParams,
     derive_seed,
     dominated_pair,
     path_monotonicity_report,
-    path_point,
     phi,
     phi_derivative_explicit,
     phi_derivative_fd,
-    stein_residual,
     stein_residuals,
     validate_spec,
 )
 from sudfer.estimator import estimate_from_values
-from sudfer.gaussian import iter_sample_shards
+from sudfer.gaussian import blended_spec, iter_sample_shards
+from sudfer.interpolation import stein_residual_values
 from sudfer.smoothmax import smooth_max
 
 
@@ -82,9 +80,9 @@ class TestPhi:
     def test_path_point_carries_the_blend(self):
         x = iid_spec(2)
         y = validate_spec(np.zeros(2), 3.0 * np.eye(2))
-        point = path_point(x, y, 0.25)
-        assert point.t == 0.25
-        assert np.array_equal(point.blended.covariance, 1.5 * np.eye(2))
+        blended = blended_spec(x, y, 0.25)
+        assert np.array_equal(blended.mean, np.zeros(2))
+        assert np.array_equal(blended.covariance, 1.5 * np.eye(2))
 
 
 class TestExplicitDerivative:
@@ -226,10 +224,10 @@ class TestSteinResiduals:
     def test_single_coordinate_accessor(self):
         spec = iid_spec(3)
         full = stein_residuals(spec, SmoothMaxParams(1.0), 5000, seed=79)
-        one = stein_residual(spec, SmoothMaxParams(1.0), 1, 5000, seed=79)
-        assert one.value == full[1].value
-        with pytest.raises(IndexOutOfRange):
-            stein_residual(spec, SmoothMaxParams(1.0), 3, 5000, seed=79)
+        values = stein_residual_values(spec, SmoothMaxParams(1.0), 5000, seed=79)
+        assert len(full) == values.shape[1] == spec.n
+        for i, est in enumerate(full):
+            assert est == estimate_from_values(values[:, i], 79)
 
     def test_rejects_uncentered_laws(self):
         spec = validate_spec([0.0, 1e-6], np.eye(2))
