@@ -16,8 +16,7 @@ from sudfer import (
     optimal_beta,
     path_monotonicity_report,
     phi,
-    phi_derivative_explicit,
-    phi_derivative_fd,
+    phi_derivative,
 )
 
 
@@ -36,8 +35,8 @@ def main():
 
     print("\nexplicit formula vs central difference (common random numbers):")
     for t in (0.1, 0.3, 0.5, 0.7, 0.9):
-        ex = phi_derivative_explicit(spec_x, spec_y, params, t, samples, seed=13)
-        fd = phi_derivative_fd(spec_x, spec_y, params, t, samples, seed=13)
+        d = phi_derivative(spec_x, spec_y, params, t, samples, seed=13)
+        ex, fd = d.explicit, d.finite_difference
         print(
             f"  t = {t}: explicit {ex.value:+.5f} +/- {ex.stderr:.5f},"
             f"  fd {fd.value:+.5f} +/- {fd.stderr:.5f}"

@@ -76,8 +76,7 @@ from .interpolation import (
     PathMonotonicityReport,
     path_monotonicity_report,
     phi,
-    phi_derivative_explicit,
-    phi_derivative_fd,
+    phi_derivative,
     stein_residuals,
 )
 from .smoothmax import (
@@ -127,8 +126,7 @@ __all__ = [
     "optimal_beta",
     "path_monotonicity_report",
     "phi",
-    "phi_derivative_explicit",
-    "phi_derivative_fd",
+    "phi_derivative",
     "random_spec",
     "render",
     "render_csv",

@@ -1,7 +1,8 @@
 """Monte Carlo estimation of E max for Gaussian vectors, with a 2-d oracle.
 
 Every stochastic output is an MCEstimate: value, CLT standard error, sample
-count, seed.  Batches are streamed shard by shard (see gaussian.py), so large
+count, seed.  Draws go through gaussian.common_draw_values, which reduces each
+shard to one value per row as soon as it is transformed, so large
 (samples x n) products never have to fit in memory at once.
 
 For n = 2 there is a closed form.  With d = mu1 - mu2 and
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput
-from .gaussian import GaussianSpec, check_seed, derive_seed, iter_sample_shards
+from .gaussian import GaussianSpec, check_seed, common_draw_values, derive_seed
 
 
 @dataclass(frozen=True)
@@ -56,12 +57,12 @@ def estimate_from_values(values: np.ndarray, seed: int) -> MCEstimate:
 
 
 def expected_max_mc(spec: GaussianSpec, samples: int, seed: int) -> MCEstimate:
-    """Monte Carlo estimate of E max_i V_i from rowwise maxima streamed in
-    shard order.  Deterministic per (spec, samples, seed)."""
+    """Monte Carlo estimate of E max_i V_i from rowwise maxima.
+    Deterministic per (spec, samples, seed)."""
     if samples < 2:
         raise InvalidInput(f"samples must be >= 2, got {samples}")
-    parts = [shard.max(axis=1) for shard in iter_sample_shards(spec, samples, seed)]
-    return estimate_from_values(np.concatenate(parts), seed)
+    (maxima,) = common_draw_values([(spec, lambda rows: rows.max(axis=1))], samples, seed)
+    return estimate_from_values(maxima, seed)
 
 
 def _phi(z: float) -> float:

@@ -10,11 +10,13 @@ expected false-positive rate.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -101,6 +103,12 @@ def _integer(name: str, value: Any) -> int:
     return int(value)
 
 
+def _is_finite_real(value: Any) -> bool:
+    """True for ints and floats within the float range; bools, strings and None
+    are not coerced, and nan, inf and larger ints cannot become finite floats."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment run depends on.
@@ -149,6 +157,8 @@ class ExperimentConfig:
         for v in self.n_list(default=(1,)):
             if v < 1:
                 raise ConfigError(f"n values must be >= 1, got {v}")
+        if not isinstance(self.grid, (list, tuple, np.ndarray)) or not all(map(_is_finite_real, self.grid)):
+            raise ConfigError(f"grid must be a list of finite real numbers, got {self.grid!r}")
         grid = tuple(float(t) for t in self.grid)
         if self.experiment == "path-diagnostics":
             if not grid:
@@ -157,13 +167,9 @@ class ExperimentConfig:
                 raise ConfigError(f"grid points must lie strictly inside (0, 1), got {grid}")
         object.__setattr__(self, "grid", grid)
         if self.beta != "auto":
-            try:
-                b = float(self.beta)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f'beta must be "auto" or a positive float, got {self.beta!r}') from exc
-            if isinstance(self.beta, bool) or not (math.isfinite(b) and b > 0.0):
+            if not (_is_finite_real(self.beta) and self.beta > 0.0):
                 raise ConfigError(f'beta must be "auto" or a positive float, got {self.beta!r}')
-            object.__setattr__(self, "beta", b)
+            object.__setattr__(self, "beta", float(self.beta))
         if self.generator == "explicit" and self.spec_x is None:
             raise ConfigError('generator "explicit" needs an inline "spec_x" document')
 
@@ -214,12 +220,17 @@ def _z_score(excess: float, stderr: float) -> float:
     return 0.0 if excess <= 0.0 else 1e300
 
 
-def _trial_spec(config: ExperimentConfig, n: int, trial_seed: int, which: int) -> GaussianSpec:
-    """Law ``which`` (0: X, 1: Y) of a trial; an explicit Y falls back to X."""
-    if config.generator == "explicit":
-        doc = config.spec_y if which == 1 and config.spec_y is not None else config.spec_x
-        return spec_from_document(doc)
-    return random_spec(n, derive_seed(trial_seed, which), config.generator)
+def _law_picker(config: ExperimentConfig) -> Callable[[int, int, int], GaussianSpec]:
+    """``pick(n, trial_seed, which)``: law ``which`` (0: X, 1: Y) of a trial.  Inline
+    documents are parsed once per run, on first use; an explicit Y falls back to X."""
+    if config.generator != "explicit":
+        return lambda n, trial_seed, which: random_spec(n, derive_seed(trial_seed, which), config.generator)
+
+    @functools.cache
+    def parse(use_y: bool) -> GaussianSpec:
+        return spec_from_document(config.spec_y if use_y else config.spec_x)
+
+    return lambda n, trial_seed, which: parse(which == 1 and config.spec_y is not None)
 
 
 def _report(
@@ -239,13 +250,14 @@ def run_bound_check(config: ExperimentConfig) -> ExperimentReport:
     below the certified bound plus 3 standard errors on every trial."""
     started = time.perf_counter()
     ns = config.n_list(default=(8,))
+    pick = _law_picker(config)
     records = []
     max_z = 0.0
     passes = fails = skipped = 0
     for trial in range(config.trials):
         n = ns[trial % len(ns)]
         trial_seed = derive_seed(config.seed, trial)
-        spec_x, spec_y = (_trial_spec(config, n, trial_seed, which) for which in (0, 1))
+        spec_x, spec_y = (pick(n, trial_seed, which) for which in (0, 1))
         cert = certify(spec_x, spec_y)
         est_x, est_y, gap = empirical_gap(spec_x, spec_y, config.samples, derive_seed(trial_seed, 2))
         abs_gap = abs(gap.value)
@@ -356,6 +368,7 @@ def run_path_diagnostics(config: ExperimentConfig) -> ExperimentReport:
     """
     started = time.perf_counter()
     ns = config.n_list(default=(8,))
+    pick = _law_picker(config)
     records = []
     endpoints = []
     all_pass = True
@@ -363,7 +376,7 @@ def run_path_diagnostics(config: ExperimentConfig) -> ExperimentReport:
         n = ns[trial % len(ns)]
         trial_seed = derive_seed(config.seed, trial)
         if config.generator == "explicit":
-            spec_x, spec_y = (_trial_spec(config, n, trial_seed, which) for which in (0, 1))
+            spec_x, spec_y = (pick(n, trial_seed, which) for which in (0, 1))
         else:
             spec_x, spec_y = dominated_pair(n, trial_seed, config.generator)
         gamma = gamma_discrepancy(increment_matrix(spec_x), increment_matrix(spec_y))
@@ -424,12 +437,13 @@ def run_stein_check(config: ExperimentConfig) -> ExperimentReport:
     centered laws; at least 99% of the 3-sigma verdicts must pass."""
     started = time.perf_counter()
     ns = config.n_list(default=(8,))
+    pick = _law_picker(config)
     records = []
     passes = total = 0
     for trial in range(config.trials):
         n = ns[trial % len(ns)]
         trial_seed = derive_seed(config.seed, trial)
-        spec = _trial_spec(config, n, trial_seed, 0)
+        spec = pick(n, trial_seed, 0)
         beta = float(config.beta) if config.beta != "auto" else FALLBACK_BETA
         params = SmoothMaxParams(beta)
         residuals = stein_residuals(spec, params, config.samples, derive_seed(trial_seed, 1))

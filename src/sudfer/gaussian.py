@@ -16,12 +16,15 @@ copies Xc, Yc.
 Sampling is deterministic per (spec, count, seed): the batch is the
 concatenation of fixed-size shards, shard k drawn from the substream
 SeedSequence(seed, spawn_key=(k,)).  Worker count or chunked consumption can
-never change the result.
+never change the result.  Laws of one dimension share the normals of a seed,
+so :func:`common_draw_values`, on which every Monte Carlo estimator is built,
+draws each shard once for a group of laws and keeps per-row reductions only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -216,37 +219,48 @@ def _transform(z: np.ndarray, factor: np.ndarray, mean: np.ndarray) -> np.ndarra
     return z @ factor.T + mean
 
 
-def iter_sample_shards(spec: GaussianSpec, count: int, seed: int):
-    """Yield the sample batch in shard order without materializing it whole.
+def common_draw_values(
+    laws: Sequence[tuple[GaussianSpec, Callable[[np.ndarray], np.ndarray]]], count: int, seed: int
+) -> list[np.ndarray]:
+    """Per-row values of several laws evaluated on common standard normals.
 
-    Shard k holds rows [k*SHARD_ROWS, ...) and is drawn from the substream
-    derived from (seed, k).  Concatenating the yielded arrays gives exactly
-    ``sample(spec, count, seed)``.
+    ``laws`` is a sequence of ``(spec, reduce)`` pairs of one dimension.  Shard
+    k (rows [k*SHARD_ROWS, ...)) draws z once from the substream derived from
+    (seed, k), transforms it by each law in turn, and keeps only what that
+    law's ``reduce`` returns for the shard's rows.  Law j's result is the
+    concatenation of those parts, so it does not depend on the other laws:
+    ``sample(spec, count, seed)`` is ``common_draw_values([(spec, np.asarray)],
+    count, seed)[0]``.  A law with an all-zero factor is its mean on every
+    row and draws no normals.
     """
     if count < 1:
         raise InvalidInput(f"count must be >= 1, got {count}")
     check_seed(seed)
-    factor = _factor(spec)
-    n = spec.n
-    degenerate = not np.any(factor)
-    done = 0
-    k = 0
-    while done < count:
-        rows = min(SHARD_ROWS, count - done)
-        if degenerate:
-            # z * 0 + mean == mean for every z: skip generating the normals.
-            yield np.broadcast_to(spec.mean, (rows, n))
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-            z = rng.standard_normal((rows, n))
-            yield _transform(z, factor, spec.mean)
-        done += rows
-        k += 1
+    dimensions = {spec.n for spec, _ in laws}
+    if len(dimensions) != 1:
+        raise DimensionMismatch(f"common draws need laws of one dimension, got dimensions {sorted(dimensions)}")
+    (n,) = dimensions
+    # None marks an all-zero factor: that law is its mean on every row.
+    factors = [factor if np.any(factor) else None for factor in (_factor(spec) for spec, _ in laws)]
+    parts: list[list[np.ndarray]] = [[] for _ in laws]
+    for k, start in enumerate(range(0, count, SHARD_ROWS)):
+        rows = min(SHARD_ROWS, count - start)
+        z = None
+        for (spec, reduce), factor, out in zip(laws, factors, parts):
+            if factor is None:
+                # z * 0 + mean == mean for every z: skip generating the normals.
+                out.append(reduce(np.broadcast_to(spec.mean, (rows, n))))
+                continue
+            if z is None:
+                rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+                z = rng.standard_normal((rows, n))
+            out.append(reduce(_transform(z, factor, spec.mean)))
+    return [np.concatenate(out, axis=0) for out in parts]
 
 
 def sample(spec: GaussianSpec, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` iid rows as a (count x n) array.  Deterministic per (spec, count, seed)."""
-    return np.concatenate(list(iter_sample_shards(spec, count, seed)), axis=0)
+    return common_draw_values([(spec, np.asarray)], count, seed)[0]
 
 
 def means_equal(spec_x: GaussianSpec, spec_y: GaussianSpec) -> bool:

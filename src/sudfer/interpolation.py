@@ -13,6 +13,8 @@ formula, a central finite difference of phi, and a direct residual check of
 the integration-by-parts identity are all implemented as Monte Carlo
 estimators so each step of the calculus can be cross-validated numerically.
 
+Along the path only the factor applied to the standard normals changes with
+t, so each estimator is a reduction passed to gaussian.common_draw_values.
 Whenever two quantities are differenced (finite differences, the
 integration-by-parts residual), both sides are evaluated on common draws:
 variance reduction with no bias.
@@ -30,13 +32,7 @@ import numpy as np
 from .bounds import check_domination
 from .errors import DomainError, InvalidInput, NotCentered
 from .estimator import MCEstimate, estimate_from_values
-from .gaussian import (
-    GaussianSpec,
-    blended_spec,
-    derive_seed,
-    increment_matrix,
-    iter_sample_shards,
-)
+from .gaussian import GaussianSpec, blended_spec, common_draw_values, derive_seed, increment_matrix
 from .smoothmax import SmoothMaxParams, smooth_max, softmax
 
 # Centering tolerance for the integration-by-parts identity (stated for
@@ -84,22 +80,6 @@ class PathMonotonicityReport:
     dominated_xy: bool
 
 
-def _phi_values(
-    spec_x: GaussianSpec,
-    spec_y: GaussianSpec,
-    params: SmoothMaxParams,
-    t: float,
-    samples: int,
-    seed: int,
-) -> np.ndarray:
-    """Per-draw F_b(Z_t) values.  Identical seeds share the underlying
-    standard normals across different t (the law only changes the factor
-    applied to them), which is what makes paired differencing possible."""
-    law = blended_spec(spec_x, spec_y, t)
-    parts = [smooth_max(shard, params) for shard in iter_sample_shards(law, samples, seed)]
-    return np.concatenate(parts)
-
-
 def phi(
     spec_x: GaussianSpec,
     spec_y: GaussianSpec,
@@ -111,7 +91,9 @@ def phi(
     """Monte Carlo estimate of phi(t) = E F_b(Z_t), for t in [0, 1]."""
     if samples < 2:
         raise InvalidInput(f"samples must be >= 2, got {samples}")
-    return estimate_from_values(_phi_values(spec_x, spec_y, params, t, samples, seed), seed)
+    law = blended_spec(spec_x, spec_y, t)
+    (values,) = common_draw_values([(law, partial(smooth_max, params=params))], samples, seed)
+    return estimate_from_values(values, seed)
 
 
 def _check_interior(t: float) -> float:
@@ -121,55 +103,52 @@ def _check_interior(t: float) -> float:
     return t
 
 
-def phi_derivative_explicit(
+def phi_derivative(
     spec_x: GaussianSpec,
     spec_y: GaussianSpec,
     params: SmoothMaxParams,
     t: float,
     samples: int,
     seed: int,
-) -> MCEstimate:
-    """phi'(t) via the integration-by-parts formula, averaged over draws of Z_t.
+) -> DerivativeEstimate:
+    """phi'(t) two ways, from one set of common draws.
 
-    The per-draw integrand is (b/4) * p^T (gY - gX) p, which is bounded by
-    b*gamma/4 in absolute value (p is a probability vector), so the estimate
-    inherits that bound up to Monte Carlo noise.
+    ``explicit`` averages the integration-by-parts integrand
+    (b/4) * p^T (gY - gX) p over draws of Z_t; it is bounded by b*gamma/4 in
+    absolute value (p is a probability vector), so the estimate inherits that
+    bound up to Monte Carlo noise.  ``finite_difference`` is the central
+    difference of phi over Z_{t+h} and Z_{t-h}, with half-step
+    h = min(t, 1-t, 1e-3)/2 keeping both inside (0, 1) and the O(h^2) bias
+    below Monte Carlo noise at realistic sample counts; its stderr is that of
+    the paired per-draw differences.
     """
     t = _check_interior(t)
     if samples < 2:
         raise InvalidInput(f"samples must be >= 2, got {samples}")
-    law = blended_spec(spec_x, spec_y, t)
     diff = increment_matrix(spec_y).entries - increment_matrix(spec_x).entries
     quarter_beta = params.beta / 4.0
-    parts = []
-    for shard in iter_sample_shards(law, samples, seed):
-        p = softmax(shard, params)
-        parts.append(quarter_beta * ((p @ diff) * p).sum(axis=1))
-    return estimate_from_values(np.concatenate(parts), seed)
-
-
-def phi_derivative_fd(
-    spec_x: GaussianSpec,
-    spec_y: GaussianSpec,
-    params: SmoothMaxParams,
-    t: float,
-    samples: int,
-    seed: int,
-) -> MCEstimate:
-    """phi'(t) by a central difference of phi on common random numbers.
-
-    Half-step h = min(t, 1-t, 1e-3)/2 keeps both endpoints inside (0, 1)
-    and the O(h^2) bias below Monte Carlo noise at realistic sample counts.
-    The two evaluations share their standard normal draws, so the stderr is
-    that of the paired per-draw differences.
-    """
-    t = _check_interior(t)
-    if samples < 2:
-        raise InvalidInput(f"samples must be >= 2, got {samples}")
     h = min(t, 1.0 - t, FD_STEP_CAP) / 2.0
-    upper = _phi_values(spec_x, spec_y, params, t + h, samples, seed)
-    lower = _phi_values(spec_x, spec_y, params, t - h, samples, seed)
-    return estimate_from_values((upper - lower) / (2.0 * h), seed)
+
+    def integrand(rows: np.ndarray) -> np.ndarray:
+        p = softmax(rows, params)
+        return quarter_beta * ((p @ diff) * p).sum(axis=1)
+
+    smooth = partial(smooth_max, params=params)
+    explicit, upper, lower = common_draw_values(
+        [
+            (blended_spec(spec_x, spec_y, t), integrand),
+            (blended_spec(spec_x, spec_y, t + h), smooth),
+            (blended_spec(spec_x, spec_y, t - h), smooth),
+        ],
+        samples,
+        seed,
+    )
+    return DerivativeEstimate(
+        explicit=estimate_from_values(explicit, seed),
+        finite_difference=estimate_from_values((upper - lower) / (2.0 * h), seed),
+        t=t,
+        beta=params.beta,
+    )
 
 
 def stein_residual_values(
@@ -201,12 +180,13 @@ def stein_residual_values(
     if functional is None:
         functional, gradient = partial(smooth_max, params=params), partial(softmax, params=params)
     cov = spec.covariance
-    parts = []
-    for shard in iter_sample_shards(spec, samples, seed):
-        f = np.asarray(functional(shard), dtype=np.float64)
-        g = np.asarray(gradient(shard), dtype=np.float64)
-        parts.append(shard * f[:, None] - g @ cov)
-    return np.concatenate(parts, axis=0)
+
+    def residual(rows: np.ndarray) -> np.ndarray:
+        f = np.asarray(functional(rows), dtype=np.float64)
+        g = np.asarray(gradient(rows), dtype=np.float64)
+        return rows * f[:, None] - g @ cov
+
+    return common_draw_values([(spec, residual)], samples, seed)[0]
 
 
 def stein_residuals(
@@ -232,24 +212,15 @@ def path_monotonicity_report(
 ) -> PathMonotonicityReport:
     """Evaluate phi' on an interior grid and flag 3-sigma negative points.
 
-    Each grid point gets its own derived substream; at a given point the
-    explicit and finite-difference estimators share it (common draws).
+    Each grid point gets its own derived substream, shared by its explicit
+    and finite-difference estimates (see :func:`phi_derivative`).
     """
     ts = [_check_interior(t) for t in grid]
     if not ts:
         raise InvalidInput("grid must be nonempty")
-    points = []
-    flagged = []
-    for k, t in enumerate(ts):
-        sub = derive_seed(seed, k)
-        explicit = phi_derivative_explicit(spec_x, spec_y, params, t, samples, sub)
-        fd = phi_derivative_fd(spec_x, spec_y, params, t, samples, sub)
-        points.append(
-            DerivativeEstimate(explicit=explicit, finite_difference=fd, t=t, beta=params.beta)
-        )
-        if explicit.value < -3.0 * explicit.stderr:
-            flagged.append(k)
-    dominated_xy, _ = check_domination(increment_matrix(spec_x), increment_matrix(spec_y))
-    return PathMonotonicityReport(
-        points=tuple(points), flagged=tuple(flagged), dominated_xy=dominated_xy
+    points = tuple(
+        phi_derivative(spec_x, spec_y, params, t, samples, derive_seed(seed, k)) for k, t in enumerate(ts)
     )
+    flagged = tuple(k for k, p in enumerate(points) if p.explicit.value < -3.0 * p.explicit.stderr)
+    dominated_xy, _ = check_domination(increment_matrix(spec_x), increment_matrix(spec_y))
+    return PathMonotonicityReport(points=points, flagged=flagged, dominated_xy=dominated_xy)

@@ -67,6 +67,13 @@ class TestConfigAssembly:
             ("trials", 1.9),
             ("seed", True),
             ("beta", True),
+            ("beta", "2.5"),
+            ("beta", 10**400),
+            ("grid", ["0.5", True]),
+            ("grid", "0.5"),
+            ("grid", 0.5),
+            ("grid", [0.5, None]),
+            ("grid", [0.5, 10**400]),
         ],
     )
     def test_malformed_numbers_are_config_errors(self, tmp_path, capsys, field, value):

@@ -131,6 +131,34 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             spec_from_document({"mean": [0.0]})
 
+    @pytest.mark.parametrize(
+        "experiment, with_y, expected",
+        [
+            ("bound-check", True, 2),
+            ("bound-check", False, 1),
+            ("path-diagnostics", True, 2),
+            ("stein-check", False, 1),
+        ],
+    )
+    def test_inline_documents_are_parsed_once_per_run(self, monkeypatch, experiment, with_y, expected):
+        from sudfer import experiments
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return validate_spec(*args)
+
+        monkeypatch.setattr(experiments, "validate_spec", counting)
+        doc_x = {"mean": [0.0, 0.0], "covariance": [[1.0, 0.2], [0.2, 1.0]]}
+        doc_y = {"mean": [0.0, 0.0], "covariance": [[2.0, 0.2], [0.2, 2.0]]}
+        extra = {"spec_y": doc_y} if with_y else {}
+        config = ExperimentConfig(
+            experiment=experiment, generator="explicit", trials=5, samples=200, grid=(0.5,), spec_x=doc_x, **extra
+        )
+        run_experiment(config)
+        assert len(calls) == expected
+
 
 class TestRunBoundCheck:
     def test_identical_explicit_specs(self):

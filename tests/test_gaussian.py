@@ -20,7 +20,7 @@ from sudfer import (
     sample,
     validate_spec,
 )
-from sudfer.gaussian import PSD_RTOL, SHARD_ROWS, check_seed, iter_sample_shards, means_equal
+from sudfer.gaussian import PSD_RTOL, SHARD_ROWS, check_seed, common_draw_values, means_equal
 
 
 def random_psd_spec(rng, n):
@@ -155,9 +155,15 @@ class TestSample:
         a = sample(spec, count, seed=99)
         b = sample(spec, count, seed=99)
         assert np.array_equal(a, b)
-        shards = list(iter_sample_shards(spec, count, seed=99))
-        assert [s.shape[0] for s in shards] == [SHARD_ROWS, 257]
-        assert np.array_equal(np.concatenate(shards), a)
+        shapes = []
+
+        def keep(rows):
+            shapes.append(rows.shape)
+            return rows
+
+        (kept,) = common_draw_values([(spec, keep)], count, seed=99)
+        assert shapes == [(SHARD_ROWS, 3), (257, 3)]
+        assert np.array_equal(kept, a)
         c = sample(spec, count, seed=100)
         assert not np.array_equal(a, c)
 
@@ -172,6 +178,53 @@ class TestSample:
         spec = validate_spec([0.0], [[1.0]])
         with pytest.raises(InvalidInput):
             sample(spec, 0, seed=1)
+
+
+class TestCommonDrawValues:
+    def test_fused_equals_separate(self):
+        # Each law's values depend on its own spec, reduction and the seed
+        # only, never on the other laws evaluated on the same draws.
+        rng = np.random.default_rng(7)
+        dense = random_psd_spec(rng, 4)
+        flat = validate_spec([1.0, -2.0, 0.5, 3.0], np.zeros((4, 4)))
+        diagonal = validate_spec(np.zeros(4), np.diag([0.5, 1.0, 2.0, 4.0]))
+        laws = [
+            (dense, lambda rows: rows.max(axis=1)),
+            (flat, lambda rows: rows.sum(axis=1)),
+            (diagonal, np.asarray),
+        ]
+        count = SHARD_ROWS + 257
+        fused = common_draw_values(laws, count, seed=21)
+        for law, values in zip(laws, fused):
+            (alone,) = common_draw_values([law], count, seed=21)
+            assert np.array_equal(values, alone)
+        assert np.array_equal(fused[2], sample(diagonal, count, seed=21))
+        assert np.all(fused[1] == 2.5)
+
+    def test_laws_share_their_normals(self):
+        # Scaling the covariance by 4 doubles every draw of the same seed.
+        spec = validate_spec(np.zeros(3), np.eye(3))
+        wide = validate_spec(np.zeros(3), 4.0 * np.eye(3))
+        narrow, broad = common_draw_values([(spec, np.asarray), (wide, np.asarray)], 500, seed=3)
+        assert np.array_equal(broad, 2.0 * narrow)
+
+    def test_zero_factor_laws_draw_nothing(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a zero-covariance law drew normals")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        spec = validate_spec([1.0, 2.0], np.zeros((2, 2)))
+        (rows,) = common_draw_values([(spec, np.asarray)], SHARD_ROWS + 1, seed=4)
+        assert np.all(rows == np.array([1.0, 2.0]))
+
+    def test_rejects_bad_arguments(self):
+        spec = validate_spec([0.0], [[1.0]])
+        with pytest.raises(DimensionMismatch):
+            common_draw_values([], 10, seed=1)
+        with pytest.raises(DimensionMismatch):
+            common_draw_values([(spec, np.asarray), (validate_spec(np.zeros(2), np.eye(2)), np.asarray)], 10, seed=1)
+        with pytest.raises(InvalidInput):
+            common_draw_values([(spec, np.asarray)], 0, seed=1)
 
 
 class TestMeansEqual:

@@ -14,16 +14,18 @@ from sudfer import (
     SmoothMaxParams,
     derive_seed,
     dominated_pair,
+    increment_matrix,
     path_monotonicity_report,
     phi,
-    phi_derivative_explicit,
-    phi_derivative_fd,
+    phi_derivative,
+    sample,
+    softmax,
     stein_residuals,
     validate_spec,
 )
 from sudfer.estimator import estimate_from_values
-from sudfer.gaussian import blended_spec, iter_sample_shards
-from sudfer.interpolation import stein_residual_values
+from sudfer.gaussian import SHARD_ROWS, blended_spec
+from sudfer.interpolation import FD_STEP_CAP, stein_residual_values
 from sudfer.smoothmax import smooth_max
 
 
@@ -72,8 +74,7 @@ class TestPhi:
         params = SmoothMaxParams(1.0)
         for t, spec in ((0.0, x), (1.0, y)):
             est = phi(x, y, params, t, 10_000, seed=17)
-            parts = [smooth_max(s, params) for s in iter_sample_shards(spec, 10_000, 17)]
-            direct = estimate_from_values(np.concatenate(parts), 17)
+            direct = estimate_from_values(smooth_max(sample(spec, 10_000, 17), params), 17)
             assert est.value == direct.value
             assert est.stderr == direct.stderr
 
@@ -92,7 +93,7 @@ class TestExplicitDerivative:
         rng = np.random.default_rng(19)
         x = random_centered_spec(rng, 3)
         y = validate_spec(x.mean, x.covariance + 0.9 * np.ones((3, 3)))
-        est = phi_derivative_explicit(x, y, SmoothMaxParams(2.0), 0.5, 5000, seed=23)
+        est = phi_derivative(x, y, SmoothMaxParams(2.0), 0.5, 5000, seed=23).explicit
         assert est.value == pytest.approx(0.0, abs=1e-13)
         assert est.stderr <= 1e-13
 
@@ -112,9 +113,9 @@ class TestExplicitDerivative:
         oracle = -beta * gaussian_expectation_2d_quad(
             softmax_product, [0.0, 0.0], (1.0 - t) * np.eye(2), nodes=300
         )
-        est = phi_derivative_explicit(
+        est = phi_derivative(
             iid_spec(2), zero_spec(2), SmoothMaxParams(beta), t, 10**6, seed=29
-        )
+        ).explicit
         assert est.value <= -est.stderr
         assert abs(est.value - oracle) <= 3.0 * est.stderr
 
@@ -125,7 +126,7 @@ class TestExplicitDerivative:
             x, y = dominated_pair(n, seed=400 + k, generator="wishart")
             beta = 1.5
             for t in (0.2, 0.5, 0.8):
-                est = phi_derivative_explicit(x, y, SmoothMaxParams(beta), t, 20_000, seed=500 + k)
+                est = phi_derivative(x, y, SmoothMaxParams(beta), t, 20_000, seed=500 + k).explicit
                 assert est.value >= -3.0 * est.stderr
 
     def test_magnitude_bounded_by_quarter_beta_gamma(self):
@@ -137,14 +138,14 @@ class TestExplicitDerivative:
             y = random_centered_spec(rng, 4)
             gamma = certify(x, y).gamma
             beta = 2.0
-            est = phi_derivative_explicit(x, y, SmoothMaxParams(beta), 0.5, 10_000, seed=600 + k)
+            est = phi_derivative(x, y, SmoothMaxParams(beta), 0.5, 10_000, seed=600 + k).explicit
             assert abs(est.value) <= beta * gamma / 4.0 + 3.0 * est.stderr
 
     def test_interior_domain_enforced(self):
         x = iid_spec(2)
         for t in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(DomainError):
-                phi_derivative_explicit(x, x, SmoothMaxParams(1.0), t, 100, seed=1)
+                phi_derivative(x, x, SmoothMaxParams(1.0), t, 100, seed=1)
 
 
 class TestFiniteDifferenceDerivative:
@@ -152,20 +153,20 @@ class TestFiniteDifferenceDerivative:
         # Identity covariances blend to exactly themselves at every t, so the
         # paired difference is exactly zero draw by draw.
         x = iid_spec(3)
-        est = phi_derivative_fd(x, x, SmoothMaxParams(2.0), 0.5, 5000, seed=41)
+        est = phi_derivative(x, x, SmoothMaxParams(2.0), 0.5, 5000, seed=41).finite_difference
         assert est.value == 0.0
         assert est.stderr == 0.0
 
     def test_near_zero_for_identical_random_specs(self):
         rng = np.random.default_rng(43)
         x = random_centered_spec(rng, 4)
-        est = phi_derivative_fd(x, x, SmoothMaxParams(1.0), 0.3, 5000, seed=47)
+        est = phi_derivative(x, x, SmoothMaxParams(1.0), 0.3, 5000, seed=47).finite_difference
         assert abs(est.value) <= 3.0 * est.stderr + 1e-9
 
     def test_scalar_case_is_statistically_zero(self):
         x = validate_spec([0.0], [[0.5]])
         y = validate_spec([0.0], [[2.5]])
-        est = phi_derivative_fd(x, y, SmoothMaxParams(1.0), 0.5, 20_000, seed=53)
+        est = phi_derivative(x, y, SmoothMaxParams(1.0), 0.5, 20_000, seed=53).finite_difference
         assert abs(est.value) <= 3.0 * est.stderr
 
     def test_agrees_with_explicit_formula(self):
@@ -177,15 +178,49 @@ class TestFiniteDifferenceDerivative:
             params = SmoothMaxParams(beta)
             for t in (0.1, 0.5, 0.9):
                 seed = derive_seed(800 + k, int(t * 10))
-                explicit = phi_derivative_explicit(x, y, params, t, 40_000, seed)
-                fd = phi_derivative_fd(x, y, params, t, 40_000, seed)
+                d = phi_derivative(x, y, params, t, 40_000, seed)
+                explicit, fd = d.explicit, d.finite_difference
                 tol = 3.0 * math.hypot(explicit.stderr, fd.stderr) + 1e-4 * beta
                 assert abs(explicit.value - fd.value) <= tol
 
     def test_interior_domain_enforced(self):
         x = iid_spec(2)
         with pytest.raises(DomainError):
-            phi_derivative_fd(x, x, SmoothMaxParams(1.0), 1.0, 100, seed=1)
+            phi_derivative(x, x, SmoothMaxParams(1.0), 1.0, 100, seed=1)
+
+
+class TestPhiDerivative:
+    # Both estimates must equal the textbook formulas evaluated on whole
+    # ``sample`` batches bit for bit; SHARD_ROWS + 257 draws end in a partial shard.
+    SAMPLES = SHARD_ROWS + 257
+
+    def pair(self):
+        return dominated_pair(4, seed=950, generator="wishart")
+
+    def test_explicit_is_the_integrand_mean_on_sample(self):
+        x, y = self.pair()
+        params, t, seed = SmoothMaxParams(1.5), 0.3, 951
+        p = softmax(sample(blended_spec(x, y, t), self.SAMPLES, seed), params)
+        diff = increment_matrix(y).entries - increment_matrix(x).entries
+        expected = estimate_from_values(params.beta / 4.0 * ((p @ diff) * p).sum(axis=1), seed)
+        assert phi_derivative(x, y, params, t, self.SAMPLES, seed).explicit == expected
+
+    def test_finite_difference_is_the_paired_smooth_max_difference_on_sample(self):
+        x, y = self.pair()
+        params, t, seed = SmoothMaxParams(1.5), 0.9997, 952
+        h = min(t, 1.0 - t, FD_STEP_CAP) / 2.0
+        upper, lower = (
+            smooth_max(sample(blended_spec(x, y, s), self.SAMPLES, seed), params) for s in (t + h, t - h)
+        )
+        expected = estimate_from_values((upper - lower) / (2.0 * h), seed)
+        assert phi_derivative(x, y, params, t, self.SAMPLES, seed).finite_difference == expected
+
+    def test_report_points_are_phi_derivative_on_derived_seeds(self):
+        x, y = self.pair()
+        params = SmoothMaxParams(1.0)
+        report = path_monotonicity_report(x, y, params, (0.2, 0.6), 3000, seed=954)
+        for k, t in enumerate((0.2, 0.6)):
+            assert report.points[k] == phi_derivative(x, y, params, t, 3000, derive_seed(954, k))
 
 
 class TestSteinResiduals:
