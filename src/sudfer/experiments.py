@@ -23,11 +23,13 @@ import numpy as np
 from . import __version__
 from .bounds import certify, gamma_discrepancy, optimal_beta
 from .errors import ConfigError, SudferError, UnknownGenerator
-from .estimator import empirical_gap
-from .gaussian import GaussianSpec, check_seed, derive_seed, increment_matrix, validate_spec
-from .interpolation import DEFAULT_GRID, path_monotonicity_report, phi, stein_residuals
+from .estimator import empirical_gap, estimate_from_values
+from .gaussian import (
+    GaussianSpec, blended_spec, check_seed, common_draw_values, derive_seed, increment_matrix, validate_spec
+)
+from .interpolation import DEFAULT_GRID, path_monotonicity_report, stein_residuals
 from .reports import ExperimentReport
-from .smoothmax import SmoothMaxParams
+from .smoothmax import SmoothMaxParams, smooth_max
 
 EXPERIMENTS = ("sharpness", "bound-check", "path-diagnostics", "stein-check")
 GENERATORS = ("wishart", "equicorrelated", "diagonal", "explicit")
@@ -408,8 +410,10 @@ def run_path_diagnostics(config: ExperimentConfig) -> ExperimentReport:
                 }
             )
         endpoint_seed = derive_seed(trial_seed, 3)
-        phi0 = phi(spec_x, spec_y, params, 0.0, config.samples, endpoint_seed)
-        phi1 = phi(spec_x, spec_y, params, 1.0, config.samples, endpoint_seed)
+        smooth = functools.partial(smooth_max, params=params)
+        laws = [(blended_spec(spec_x, spec_y, t), smooth) for t in (0.0, 1.0)]
+        values = common_draw_values(laws, config.samples, endpoint_seed)
+        phi0, phi1 = (estimate_from_values(v, endpoint_seed) for v in values)
         combined = math.hypot(phi0.stderr, phi1.stderr)
         monotone = phi1.value >= phi0.value - 3.0 * combined
         all_pass &= monotone or not report.dominated_xy

@@ -19,6 +19,9 @@ SeedSequence(seed, spawn_key=(k,)).  Worker count or chunked consumption can
 never change the result.  Laws of one dimension share the normals of a seed,
 so :func:`common_draw_values`, on which every Monte Carlo estimator is built,
 draws each shard once for a group of laws and keeps per-row reductions only.
+Every shard is drawn and transformed into the same two buffers.  Diagonal
+covariances (the iid and zero laws) are recognised in O(n^2) and skip every
+O(n^3) step: eigvalsh in validation, Cholesky and eigh in factoring.
 """
 
 from __future__ import annotations
@@ -53,9 +56,7 @@ _MAX_SEED = 2**64
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(a, dtype=np.float64)
-    if out is a:
-        out = out.copy()
+    out = np.array(a, dtype=np.float64, order="C")  # always a private copy
     out.setflags(write=False)
     return out
 
@@ -107,7 +108,7 @@ class GaussianSpec:
             )
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise InvalidInput("mean/covariance entries must be finite")
-        if not np.array_equal(cov, cov.T):
+        if not (_is_diagonal(cov) or np.array_equal(cov, cov.T)):  # the transposed compare is the slow one
             raise NotSymmetric("covariance is not exactly symmetric as stored")
         object.__setattr__(self, "mean", _as_readonly(mean))
         object.__setattr__(self, "covariance", _as_readonly(cov))
@@ -157,14 +158,12 @@ def validate_spec(mean, covariance) -> GaussianSpec:
     """
     spec = GaussianSpec(np.asarray(mean, dtype=np.float64), np.asarray(covariance, dtype=np.float64))
     cov = spec.covariance
-    trace = float(np.trace(cov))
-    tol = PSD_RTOL * (1.0 + trace)
-    eigvals = np.linalg.eigvalsh(cov)
-    smallest = float(eigvals[0])
+    if _is_diagonal(cov) and float(np.diagonal(cov).min()) >= 0.0:
+        return spec  # a diagonal matrix is PSD exactly when its diagonal is nonnegative
+    tol = PSD_RTOL * (1.0 + float(np.trace(cov)))
+    smallest = float(np.linalg.eigvalsh(cov)[0])
     if smallest < -tol:
-        raise NotPSD(
-            f"covariance has eigenvalue {smallest:.6g} below tolerance {-tol:.6g}"
-        )
+        raise NotPSD(f"covariance has eigenvalue {smallest:.6g} below tolerance {-tol:.6g}")
     if smallest < 0.0:
         w, v = np.linalg.eigh(cov)
         w = np.maximum(w, 0.0)
@@ -187,36 +186,45 @@ def increment_matrix(spec: GaussianSpec) -> IncrementMatrix:
     return IncrementMatrix(np.maximum(g, 0.0))
 
 
-def _factor(spec: GaussianSpec) -> np.ndarray:
-    """An n x n matrix L with L @ L.T equal to the covariance.
+def _is_diagonal(a: np.ndarray) -> bool:
+    """True when ``a`` has no nonzero off-diagonal entry: one O(n^2) scan."""
+    return np.count_nonzero(a) == np.count_nonzero(np.diagonal(a))
 
-    Cholesky when the matrix is numerically PD; otherwise the symmetric
-    eigendecomposition with negative eigenvalues clamped to zero (this is
-    what makes degenerate laws like the all-zero law samplable).
+
+def _factor(spec: GaussianSpec) -> np.ndarray:
+    """A factor L with L @ L.T equal to the covariance (1-d when L is diagonal).
+
+    An all-positive or all-zero diagonal gets sqrt(diagonal), bitwise what
+    Cholesky gives.  Other laws get Cholesky when numerically PD, else the
+    eigendecomposition with negative eigenvalues clamped to zero (degenerate
+    laws, and zero/positive diagonals, whose factor may permute the normals).
     """
     cov = spec.covariance
+    d = np.diagonal(cov)
+    if _is_diagonal(cov) and (float(d.min()) > 0.0 or not d.any()):
+        return np.sqrt(d)
     try:
-        return np.linalg.cholesky(cov)
+        factor = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        pass
-    try:
-        w, v = np.linalg.eigh(cov)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationFailure(f"eigendecomposition failed: {exc}") from exc
-    tol = PSD_RTOL * (1.0 + float(np.trace(cov)))
-    if float(w[0]) < -tol:
-        raise FactorizationFailure(
-            f"covariance is numerically indefinite (eigenvalue {float(w[0]):.6g})"
-        )
-    return v * np.sqrt(np.maximum(w, 0.0))
+        try:
+            w, v = np.linalg.eigh(cov)
+        except np.linalg.LinAlgError as exc:
+            raise FactorizationFailure(f"eigendecomposition failed: {exc}") from exc
+        tol = PSD_RTOL * (1.0 + float(np.trace(cov)))
+        if float(w[0]) < -tol:
+            raise FactorizationFailure(f"covariance is numerically indefinite (eigenvalue {float(w[0]):.6g})")
+        factor = v * np.sqrt(np.maximum(w, 0.0))
+    return np.diagonal(factor).copy() if _is_diagonal(factor) else factor
 
 
-def _transform(z: np.ndarray, factor: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    # Diagonal factors (iid / independent coordinates) skip the O(n^2) matmul;
-    # with a single nonzero per row the results coincide bitwise.
-    if np.count_nonzero(factor) == np.count_nonzero(np.diagonal(factor)):
-        return z * np.diagonal(factor) + mean
-    return z @ factor.T + mean
+def _transform(z: np.ndarray, factor: np.ndarray, mean: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # out = z @ factor.T + mean; a 1-d (diagonal) factor skips the matmul, with bitwise equal results.
+    if factor.ndim == 1:
+        np.multiply(z, factor, out=out)
+    else:
+        np.matmul(z, factor.T, out=out)
+    out += mean
+    return out
 
 
 def common_draw_values(
@@ -231,7 +239,9 @@ def common_draw_values(
     concatenation of those parts, so it does not depend on the other laws:
     ``sample(spec, count, seed)`` is ``common_draw_values([(spec, np.asarray)],
     count, seed)[0]``.  A law with an all-zero factor is its mean on every
-    row and draws no normals.
+    row and draws no normals.  Shards are drawn into one buffer and
+    transformed into another, shared by all laws: ``reduce`` never sees z,
+    and may modify its rows or return a view of them (that result is copied).
     """
     if count < 1:
         raise InvalidInput(f"count must be >= 1, got {count}")
@@ -240,21 +250,21 @@ def common_draw_values(
     if len(dimensions) != 1:
         raise DimensionMismatch(f"common draws need laws of one dimension, got dimensions {sorted(dimensions)}")
     (n,) = dimensions
-    # None marks an all-zero factor: that law is its mean on every row.
-    factors = [factor if np.any(factor) else None for factor in (_factor(spec) for spec, _ in laws)]
+    factors = [_factor(spec) for spec, _ in laws]
+    drawn = [bool(factor.any()) for factor in factors]  # z * 0 + mean == mean: zero factors draw nothing
+    zbuf, rowbuf = (np.empty((min(SHARD_ROWS, count), n)) for _ in range(2))
     parts: list[list[np.ndarray]] = [[] for _ in laws]
     for k, start in enumerate(range(0, count, SHARD_ROWS)):
         rows = min(SHARD_ROWS, count - start)
-        z = None
-        for (spec, reduce), factor, out in zip(laws, factors, parts):
-            if factor is None:
-                # z * 0 + mean == mean for every z: skip generating the normals.
-                out.append(reduce(np.broadcast_to(spec.mean, (rows, n))))
-                continue
-            if z is None:
-                rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-                z = rng.standard_normal((rows, n))
-            out.append(reduce(_transform(z, factor, spec.mean)))
+        z = zbuf[:rows]
+        if any(drawn):
+            np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,))).standard_normal(out=z)
+        for (spec, reduce), factor, random, out in zip(laws, factors, drawn, parts):
+            if random:
+                values = reduce(_transform(z, factor, spec.mean, rowbuf[:rows]))
+            else:
+                values = reduce(np.broadcast_to(spec.mean, (rows, n)))
+            out.append(np.array(values) if np.may_share_memory(values, rowbuf) else values)
     return [np.concatenate(out, axis=0) for out in parts]
 
 

@@ -8,12 +8,14 @@ import pytest
 from sudfer import (
     ConfigError,
     ExperimentConfig,
+    SmoothMaxParams,
     UnknownGenerator,
     certify,
     derive_seed,
     dominated_pair,
     increment_matrix,
     optimal_beta,
+    phi,
     random_spec,
     run_bound_check,
     run_experiment,
@@ -24,6 +26,7 @@ from sudfer import (
     validate_spec,
 )
 from sudfer.bounds import check_domination, gamma_discrepancy
+from sudfer.gaussian import SHARD_ROWS
 from sudfer.reports import render_json
 
 
@@ -282,6 +285,29 @@ class TestRunPathDiagnostics:
         assert endpoint["phi1"] >= endpoint["phi0"] - 3.0 * math.hypot(
             endpoint["phi0_stderr"], endpoint["phi1_stderr"]
         )
+
+    def test_endpoints_draw_their_normals_once(self, monkeypatch):
+        draws = []
+        default_rng = np.random.default_rng
+
+        def counting(seed=None):
+            draws.append(getattr(seed, "entropy", seed))
+            return default_rng(seed)
+
+        config = ExperimentConfig(
+            experiment="path-diagnostics", n=3, trials=1, samples=SHARD_ROWS + 257, seed=14, beta=2.0, grid=(0.5,)
+        )
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        report = run_path_diagnostics(config)
+        monkeypatch.undo()
+        trial_seed = derive_seed(14, 0)
+        endpoint_seed = derive_seed(trial_seed, 3)
+        assert draws.count(endpoint_seed) == 2  # one draw per shard for both endpoints
+        x, y = dominated_pair(3, trial_seed, "wishart")
+        (endpoint,) = report.summary["endpoints"]
+        for key, t in (("phi0", 0.0), ("phi1", 1.0)):
+            alone = phi(x, y, SmoothMaxParams(2.0), t, config.samples, endpoint_seed)
+            assert (endpoint[key], endpoint[f"{key}_stderr"]) == (alone.value, alone.stderr)
 
 
 class TestRunSteinCheck:

@@ -20,7 +20,8 @@ from sudfer import (
     sample,
     validate_spec,
 )
-from sudfer.gaussian import PSD_RTOL, SHARD_ROWS, check_seed, common_draw_values, means_equal
+from sudfer.experiments import ExperimentConfig, run_sharpness
+from sudfer.gaussian import PSD_RTOL, SHARD_ROWS, _factor, check_seed, common_draw_values, means_equal
 
 
 def random_psd_spec(rng, n):
@@ -217,6 +218,35 @@ class TestCommonDrawValues:
         (rows,) = common_draw_values([(spec, np.asarray)], SHARD_ROWS + 1, seed=4)
         assert np.all(rows == np.array([1.0, 2.0]))
 
+    def test_reductions_may_return_the_shared_rows(self):
+        rng = np.random.default_rng(8)
+        dense = random_psd_spec(rng, 3)
+        diagonal = validate_spec(np.ones(3), np.diag([1.0, 2.0, 3.0]))
+        count = SHARD_ROWS + 257
+        both = common_draw_values([(dense, lambda rows: rows), (diagonal, lambda rows: rows[:, ::2])], count, seed=9)
+        assert np.array_equal(both[0], sample(dense, count, seed=9))
+        assert np.array_equal(both[1], sample(diagonal, count, seed=9)[:, ::2])
+
+    def test_a_reduction_that_overwrites_its_rows_leaves_later_laws_alone(self):
+        rng = np.random.default_rng(9)
+        first, second = random_psd_spec(rng, 3), random_psd_spec(rng, 3)
+
+        def spoil(rows):
+            total = rows.sum(axis=1)
+            rows[...] = np.nan
+            return total
+
+        count = SHARD_ROWS + 257
+        _, values = common_draw_values([(first, spoil), (second, np.asarray)], count, seed=10)
+        assert np.array_equal(values, sample(second, count, seed=10))
+
+    def test_consecutive_samples_do_not_share_memory(self):
+        spec = validate_spec(np.zeros(2), np.eye(2))
+        a = sample(spec, 100, seed=1)
+        b = sample(spec, 100, seed=2)
+        assert not np.shares_memory(a, b)
+        assert not np.array_equal(a, b)
+
     def test_rejects_bad_arguments(self):
         spec = validate_spec([0.0], [[1.0]])
         with pytest.raises(DimensionMismatch):
@@ -225,6 +255,51 @@ class TestCommonDrawValues:
             common_draw_values([(spec, np.asarray), (validate_spec(np.zeros(2), np.eye(2)), np.asarray)], 10, seed=1)
         with pytest.raises(InvalidInput):
             common_draw_values([(spec, np.asarray)], 0, seed=1)
+
+
+class TestStructuredLaws:
+    def test_trivial_laws_pay_no_cubic_step(self, monkeypatch):
+        def cubic(*args, **kwargs):
+            raise AssertionError("a diagonal law reached an O(n^3) decomposition")
+
+        for name in ("eigvalsh", "eigh", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, cubic)
+        for mean, cov in (
+            (np.zeros(5), np.eye(5)),
+            ([1.0, -2.0, 0.5], np.zeros((3, 3))),
+            ([0.0, 1.0, 2.0], np.diag([0.25, 4.0, 1e-300])),
+        ):
+            spec = validate_spec(mean, cov)
+            draws = sample(spec, 700, seed=2)
+            assert draws.shape == (700, spec.n)
+        report = run_sharpness(ExperimentConfig(experiment="sharpness", n=[16, 64], samples=2000, seed=5))
+        assert len(report.records) == 2
+
+    def test_positive_diagonal_matches_the_dense_path(self):
+        mean = np.array([0.5, -1.0, 2.0, 0.0])
+        cov = np.diag([2.0, 0.3, 1.0, 7.5])
+        spec = validate_spec(mean, cov)
+        assert _factor(spec).ndim == 1
+        count = SHARD_ROWS + 257
+        dense_factor = np.linalg.cholesky(cov)
+        expected = []
+        for k, start in enumerate(range(0, count, SHARD_ROWS)):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=6, spawn_key=(k,)))
+            expected.append(rng.standard_normal((min(SHARD_ROWS, count - start), 4)) @ dense_factor.T + mean)
+        assert np.array_equal(sample(spec, count, seed=6), np.concatenate(expected))
+
+    def test_mixed_zero_and_positive_diagonal_keeps_its_draws(self):
+        # Unsorted, so the eigenvector factor permutes the normals; the
+        # values below pin the draws of that path.
+        spec = validate_spec([0.5, -1.0, 2.0], np.diag([2.0, 0.0, 1.0]))
+        golden = [
+            ["0x1.de88c4b049860p-1", "-0x1.0000000000000p+0", "0x1.588664fc971a6p+0"],
+            ["-0x1.72678b867b030p-2", "-0x1.0000000000000p+0", "0x1.451a9f4864bb4p+1"],
+            ["-0x1.541c52d8a69e6p-2", "-0x1.0000000000000p+0", "0x1.82e9f6e21eec8p+1"],
+        ]
+        expected = np.array([[float.fromhex(x) for x in row] for row in golden])
+        assert np.array_equal(sample(spec, 3, seed=11), expected)
+        assert np.array_equal(sample(spec, SHARD_ROWS + 1, seed=11)[:3], expected)
 
 
 class TestMeansEqual:
