@@ -1,6 +1,6 @@
 """Gaussian integration by parts as a runnable diagnostic.
 
-For centered V with covariance C and smooth F, E[V_i F(V)] equals
+For V with mean mu, covariance C and smooth F, E[(V_i - mu_i) F(V)] equals
 E[(C grad F(V))_i] coordinate by coordinate.  The per-draw difference of
 the two sides is a mean-zero residual; its Monte Carlo average should sit
 within a few standard errors of zero whenever sampling, gradients, and

@@ -30,7 +30,6 @@ from .errors import (
     FactorizationFailure,
     InvalidInput,
     MeanMismatch,
-    NotCentered,
     NotPSD,
     NotSymmetric,
     SudferError,
@@ -73,8 +72,6 @@ from .reports import (
 )
 from .interpolation import (
     DerivativeEstimate,
-    PathMonotonicityReport,
-    path_monotonicity_report,
     phi,
     phi_derivative,
     stein_residuals,
@@ -104,10 +101,8 @@ __all__ = [
     "InvalidInput",
     "MCEstimate",
     "MeanMismatch",
-    "NotCentered",
     "NotPSD",
     "NotSymmetric",
-    "PathMonotonicityReport",
     "SmoothMaxParams",
     "SudferError",
     "UnknownGenerator",
@@ -124,7 +119,6 @@ __all__ = [
     "iid_standard_spec",
     "increment_matrix",
     "optimal_beta",
-    "path_monotonicity_report",
     "phi",
     "phi_derivative",
     "random_spec",

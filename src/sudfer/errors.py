@@ -41,10 +41,6 @@ class DomainError(SudferError, ValueError):
     """A scalar argument lies outside its required open interval."""
 
 
-class NotCentered(SudferError, ValueError):
-    """An operation requiring a centered law received a nonzero mean."""
-
-
 class DegenerateGamma(SudferError, ValueError):
     """gamma <= 0 where a strictly positive discrepancy is required."""
 

@@ -21,13 +21,11 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
-from .bounds import certify, gamma_discrepancy, optimal_beta
+from .bounds import certify
 from .errors import ConfigError, SudferError, UnknownGenerator
 from .estimator import empirical_gap, estimate_from_values
-from .gaussian import (
-    GaussianSpec, blended_spec, check_seed, common_draw_values, derive_seed, increment_matrix, validate_spec
-)
-from .interpolation import DEFAULT_GRID, path_monotonicity_report, stein_residuals
+from .gaussian import GaussianSpec, blended_spec, check_seed, common_draw_values, derive_seed, validate_spec
+from .interpolation import DEFAULT_GRID, phi_derivative, stein_residuals
 from .reports import ExperimentReport
 from .smoothmax import SmoothMaxParams, smooth_max
 
@@ -202,12 +200,11 @@ class ExperimentConfig:
         return doc
 
 
-def _resolve_beta(config: ExperimentConfig, gamma: float, n: int) -> float:
+def _resolve_beta(config: ExperimentConfig, optimal: float = math.inf) -> float:
+    """``config.beta``; for "auto", ``optimal`` when it is finite, else FALLBACK_BETA."""
     if config.beta != "auto":
-        return float(config.beta)
-    if gamma > 0.0 and n >= 2:
-        return optimal_beta(gamma, n)
-    return FALLBACK_BETA
+        return config.beta
+    return optimal if math.isfinite(optimal) else FALLBACK_BETA
 
 
 def _finite_or_none(x: float) -> float | None:
@@ -363,10 +360,13 @@ def run_sharpness(config: ExperimentConfig) -> ExperimentReport:
 def run_path_diagnostics(config: ExperimentConfig) -> ExperimentReport:
     """Derivative diagnostics along the blend path of dominated pairs.
 
-    Per grid point: the explicit and finite-difference derivative estimates
-    must agree within 3 combined standard errors plus a small discretization
-    allowance, and under domination the explicit estimate must not be
-    significantly negative.  Per trial: phi(1) >= phi(0) within noise.
+    One certificate per trial gives gamma, the domination flag and the auto
+    beta.  Per grid point (derived substream k of the trial's grid seed): the
+    explicit and finite-difference derivative estimates must agree within 3
+    combined standard errors plus a small discretization allowance, and under
+    domination, where phi' is provably nonnegative, the explicit estimate must
+    not be below -3 standard errors.
+    Per trial: phi(1) >= phi(0) within noise.
     """
     started = time.perf_counter()
     ns = config.n_list(default=(8,))
@@ -381,29 +381,29 @@ def run_path_diagnostics(config: ExperimentConfig) -> ExperimentReport:
             spec_x, spec_y = (pick(n, trial_seed, which) for which in (0, 1))
         else:
             spec_x, spec_y = dominated_pair(n, trial_seed, config.generator)
-        gamma = gamma_discrepancy(increment_matrix(spec_x), increment_matrix(spec_y))
-        beta = _resolve_beta(config, gamma, spec_x.n)
+        cert = certify(spec_x, spec_y)
+        beta = _resolve_beta(config, cert.optimal_beta)
         params = SmoothMaxParams(beta)
-        report = path_monotonicity_report(
-            spec_x, spec_y, params, config.grid, config.samples, derive_seed(trial_seed, 2)
-        )
-        for k, point in enumerate(report.points):
-            tolerance = 3.0 * point.combined_stderr() + 1e-4 * beta
-            consistent = point.consistency_gap() <= tolerance
-            sign_ok = k not in report.flagged
-            all_pass &= consistent and (sign_ok or not report.dominated_xy)
+        grid_seed = derive_seed(trial_seed, 2)
+        for k, t in enumerate(config.grid):
+            point = phi_derivative(spec_x, spec_y, params, t, config.samples, derive_seed(grid_seed, k))
+            explicit, fd = point.explicit, point.finite_difference
+            tolerance = 3.0 * math.hypot(explicit.stderr, fd.stderr) + 1e-4 * beta
+            consistent = abs(explicit.value - fd.value) <= tolerance
+            sign_ok = explicit.value >= -3.0 * explicit.stderr
+            all_pass &= consistent and (sign_ok or not cert.dominates_xy)
             records.append(
                 {
                     "trial": trial,
                     "n": spec_x.n,
-                    "t": point.t,
+                    "t": t,
                     "beta": beta,
-                    "gamma": gamma,
-                    "dominated_xy": report.dominated_xy,
-                    "explicit": point.explicit.value,
-                    "explicit_stderr": point.explicit.stderr,
-                    "finite_difference": point.finite_difference.value,
-                    "finite_difference_stderr": point.finite_difference.stderr,
+                    "gamma": cert.gamma,
+                    "dominated_xy": cert.dominates_xy,
+                    "explicit": explicit.value,
+                    "explicit_stderr": explicit.stderr,
+                    "finite_difference": fd.value,
+                    "finite_difference_stderr": fd.stderr,
                     "consistency_tolerance": tolerance,
                     "consistency_pass": consistent,
                     "sign_pass": sign_ok,
@@ -416,7 +416,7 @@ def run_path_diagnostics(config: ExperimentConfig) -> ExperimentReport:
         phi0, phi1 = (estimate_from_values(v, endpoint_seed) for v in values)
         combined = math.hypot(phi0.stderr, phi1.stderr)
         monotone = phi1.value >= phi0.value - 3.0 * combined
-        all_pass &= monotone or not report.dominated_xy
+        all_pass &= monotone or not cert.dominates_xy
         endpoints.append(
             {
                 "trial": trial,
@@ -437,8 +437,8 @@ def run_path_diagnostics(config: ExperimentConfig) -> ExperimentReport:
 
 
 def run_stein_check(config: ExperimentConfig) -> ExperimentReport:
-    """Integration-by-parts residuals for every coordinate of random
-    centered laws; at least 99% of the 3-sigma verdicts must pass."""
+    """Integration-by-parts residuals for every coordinate of random laws
+    (any mean); at least 99% of the 3-sigma verdicts must pass."""
     started = time.perf_counter()
     ns = config.n_list(default=(8,))
     pick = _law_picker(config)
@@ -448,7 +448,7 @@ def run_stein_check(config: ExperimentConfig) -> ExperimentReport:
         n = ns[trial % len(ns)]
         trial_seed = derive_seed(config.seed, trial)
         spec = pick(n, trial_seed, 0)
-        beta = float(config.beta) if config.beta != "auto" else FALLBACK_BETA
+        beta = _resolve_beta(config)
         params = SmoothMaxParams(beta)
         residuals = stein_residuals(spec, params, config.samples, derive_seed(trial_seed, 1))
         for i, res in enumerate(residuals):

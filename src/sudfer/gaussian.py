@@ -19,7 +19,8 @@ SeedSequence(seed, spawn_key=(k,)).  Worker count or chunked consumption can
 never change the result.  Laws of one dimension share the normals of a seed,
 so :func:`common_draw_values`, on which every Monte Carlo estimator is built,
 draws each shard once for a group of laws and keeps per-row reductions only.
-Every shard is drawn and transformed into the same two buffers.  Diagonal
+Every shard is drawn and transformed into the same two buffers, and each
+law's per-row values are written into one preallocated result.  Diagonal
 covariances (the iid and zero laws) are recognised in O(n^2) and skip every
 O(n^3) step: eigvalsh in validation, Cholesky and eigh in factoring.
 """
@@ -235,13 +236,15 @@ def common_draw_values(
     ``laws`` is a sequence of ``(spec, reduce)`` pairs of one dimension.  Shard
     k (rows [k*SHARD_ROWS, ...)) draws z once from the substream derived from
     (seed, k), transforms it by each law in turn, and keeps only what that
-    law's ``reduce`` returns for the shard's rows.  Law j's result is the
-    concatenation of those parts, so it does not depend on the other laws:
-    ``sample(spec, count, seed)`` is ``common_draw_values([(spec, np.asarray)],
-    count, seed)[0]``.  A law with an all-zero factor is its mean on every
-    row and draws no normals.  Shards are drawn into one buffer and
-    transformed into another, shared by all laws: ``reduce`` never sees z,
-    and may modify its rows or return a view of them (that result is copied).
+    law's ``reduce`` returns for the shard's rows: an array with one entry per
+    row and the same trailing shape on every shard (else InvalidInput),
+    written into those rows of law j's one preallocated result.  That result
+    does not depend on the other laws: ``sample(spec, count, seed)`` is
+    ``common_draw_values([(spec, np.asarray)], count, seed)[0]``.  A law with
+    an all-zero factor is its mean on every row and draws no normals.  Shards
+    are drawn into one buffer and transformed into another, shared by all
+    laws: ``reduce`` never sees z, and may modify its rows or return a view
+    of them (the result holds a copy).
     """
     if count < 1:
         raise InvalidInput(f"count must be >= 1, got {count}")
@@ -253,19 +256,23 @@ def common_draw_values(
     factors = [_factor(spec) for spec, _ in laws]
     drawn = [bool(factor.any()) for factor in factors]  # z * 0 + mean == mean: zero factors draw nothing
     zbuf, rowbuf = (np.empty((min(SHARD_ROWS, count), n)) for _ in range(2))
-    parts: list[list[np.ndarray]] = [[] for _ in laws]
+    results: list[np.ndarray | None] = [None] * len(laws)
     for k, start in enumerate(range(0, count, SHARD_ROWS)):
         rows = min(SHARD_ROWS, count - start)
         z = zbuf[:rows]
         if any(drawn):
             np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,))).standard_normal(out=z)
-        for (spec, reduce), factor, random, out in zip(laws, factors, drawn, parts):
+        for j, ((spec, reduce), factor, random) in enumerate(zip(laws, factors, drawn)):
             if random:
-                values = reduce(_transform(z, factor, spec.mean, rowbuf[:rows]))
+                values = np.asarray(reduce(_transform(z, factor, spec.mean, rowbuf[:rows])))
             else:
-                values = reduce(np.broadcast_to(spec.mean, (rows, n)))
-            out.append(np.array(values) if np.may_share_memory(values, rowbuf) else values)
-    return [np.concatenate(out, axis=0) for out in parts]
+                values = np.asarray(reduce(np.broadcast_to(spec.mean, (rows, n))))
+            if results[j] is None and values.ndim > 0:
+                results[j] = np.empty((count,) + values.shape[1:], values.dtype)
+            if results[j] is None or values.shape != (rows,) + results[j].shape[1:]:
+                raise InvalidInput(f"reduce must return one entry per row ({rows}), got shape {values.shape}")
+            results[j][start : start + rows] = values
+    return results
 
 
 def sample(spec: GaussianSpec, count: int, seed: int) -> np.ndarray:

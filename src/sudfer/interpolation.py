@@ -10,8 +10,11 @@ endpoint-finite expectation over Z_t alone:
 
 where p is the softmax and gX, gY are the increment matrices.  The explicit
 formula, a central finite difference of phi, and a direct residual check of
-the integration-by-parts identity are all implemented as Monte Carlo
-estimators so each step of the calculus can be cross-validated numerically.
+the integration-by-parts identity (for a law of any mean) are all
+implemented as Monte Carlo estimators so each step of the calculus can be
+cross-validated numerically.  The path verdicts built from these estimates
+(consistency, sign, endpoint monotonicity) live in
+experiments.run_path_diagnostics.
 
 Along the path only the factor applied to the standard normals changes with
 t, so each estimator is a reduction passed to gaussian.common_draw_values.
@@ -22,22 +25,16 @@ variance reduction with no bias.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .bounds import check_domination
-from .errors import DomainError, InvalidInput, NotCentered
+from .errors import DomainError, InvalidInput
 from .estimator import MCEstimate, estimate_from_values
-from .gaussian import GaussianSpec, blended_spec, common_draw_values, derive_seed, increment_matrix
+from .gaussian import GaussianSpec, blended_spec, common_draw_values, increment_matrix
 from .smoothmax import SmoothMaxParams, smooth_max, softmax
-
-# Centering tolerance for the integration-by-parts identity (stated for
-# centered laws only).
-CENTERED_ATOL = 1e-9
 
 # Cap on the half-width of the central finite-difference step.
 FD_STEP_CAP = 1e-3
@@ -47,37 +44,10 @@ DEFAULT_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 @dataclass(frozen=True)
 class DerivativeEstimate:
-    """Two estimates of the same phi'(t) from the same draws, kept side by side.
-
-    ``combined_stderr`` treats them as independent although the shared draws
-    correlate them; CHANGES.md records this as an open defect."""
+    """Two estimates of the same phi'(t) from the same draws, kept side by side."""
 
     explicit: MCEstimate
     finite_difference: MCEstimate
-    t: float
-    beta: float
-
-    def consistency_gap(self) -> float:
-        """|explicit - finite difference| for tolerance checks."""
-        return abs(self.explicit.value - self.finite_difference.value)
-
-    def combined_stderr(self) -> float:
-        return math.hypot(self.explicit.stderr, self.finite_difference.stderr)
-
-
-@dataclass(frozen=True)
-class PathMonotonicityReport:
-    """Grid of derivative estimates with 3-sigma sign flags.
-
-    ``flagged`` lists grid indices whose explicit estimate is below
-    -3*stderr.  Under entrywise increment domination (``dominated_xy``)
-    the derivative is provably nonnegative, so any flag there means a bug;
-    without domination, flags witness the hypothesis genuinely failing.
-    """
-
-    points: tuple[DerivativeEstimate, ...]
-    flagged: tuple[int, ...]
-    dominated_xy: bool
 
 
 def phi(
@@ -94,13 +64,6 @@ def phi(
     law = blended_spec(spec_x, spec_y, t)
     (values,) = common_draw_values([(law, partial(smooth_max, params=params))], samples, seed)
     return estimate_from_values(values, seed)
-
-
-def _check_interior(t: float) -> float:
-    t = float(t)
-    if not (0.0 < t < 1.0):
-        raise DomainError(f"t must lie strictly inside (0, 1), got {t}")
-    return t
 
 
 def phi_derivative(
@@ -122,7 +85,9 @@ def phi_derivative(
     below Monte Carlo noise at realistic sample counts; its stderr is that of
     the paired per-draw differences.
     """
-    t = _check_interior(t)
+    t = float(t)
+    if not (0.0 < t < 1.0):
+        raise DomainError(f"t must lie strictly inside (0, 1), got {t}")
     if samples < 2:
         raise InvalidInput(f"samples must be >= 2, got {samples}")
     diff = increment_matrix(spec_y).entries - increment_matrix(spec_x).entries
@@ -146,8 +111,6 @@ def phi_derivative(
     return DerivativeEstimate(
         explicit=estimate_from_values(explicit, seed),
         finite_difference=estimate_from_values((upper - lower) / (2.0 * h), seed),
-        t=t,
-        beta=params.beta,
     )
 
 
@@ -161,18 +124,16 @@ def stein_residual_values(
 ) -> np.ndarray:
     """Per-draw residuals of the Gaussian integration-by-parts identity.
 
-    For a centered law with covariance S, the identity says
-    E(V_i F(V)) = sum_j S[i,j] E(dF/dx_j (V)) for every i.  The returned
-    (samples x n) matrix holds, per draw and coordinate,
+    For a law with mean mu and covariance S, the identity says
+    E((V_i - mu_i) F(V)) = sum_j S[i,j] E(dF/dx_j (V)) for every i.  The
+    returned (samples x n) matrix holds, per draw and coordinate,
 
-        V_i * F(V) - sum_j S[i,j] * dF/dx_j(V),
+        (V_i - mu_i) * F(V) - sum_j S[i,j] * dF/dx_j(V),
 
     built from common draws for both terms.  Column means estimate the
     residuals, which are zero in expectation for any C^1 functional of
     moderate growth; the default functional is the smooth max.
     """
-    if np.max(np.abs(spec.mean)) > CENTERED_ATOL:
-        raise NotCentered("integration-by-parts residuals need a centered law")
     if samples < 2:
         raise InvalidInput(f"samples must be >= 2, got {samples}")
     if (functional is None) != (gradient is None):
@@ -184,7 +145,7 @@ def stein_residual_values(
     def residual(rows: np.ndarray) -> np.ndarray:
         f = np.asarray(functional(rows), dtype=np.float64)
         g = np.asarray(gradient(rows), dtype=np.float64)
-        return rows * f[:, None] - g @ cov
+        return (rows - spec.mean) * f[:, None] - g @ cov
 
     return common_draw_values([(spec, residual)], samples, seed)[0]
 
@@ -201,26 +162,3 @@ def stein_residuals(
     values = stein_residual_values(spec, params, samples, seed, functional, gradient)
     return [estimate_from_values(values[:, i], seed) for i in range(spec.n)]
 
-
-def path_monotonicity_report(
-    spec_x: GaussianSpec,
-    spec_y: GaussianSpec,
-    params: SmoothMaxParams,
-    grid,
-    samples: int,
-    seed: int,
-) -> PathMonotonicityReport:
-    """Evaluate phi' on an interior grid and flag 3-sigma negative points.
-
-    Each grid point gets its own derived substream, shared by its explicit
-    and finite-difference estimates (see :func:`phi_derivative`).
-    """
-    ts = [_check_interior(t) for t in grid]
-    if not ts:
-        raise InvalidInput("grid must be nonempty")
-    points = tuple(
-        phi_derivative(spec_x, spec_y, params, t, samples, derive_seed(seed, k)) for k, t in enumerate(ts)
-    )
-    flagged = tuple(k for k, p in enumerate(points) if p.explicit.value < -3.0 * p.explicit.stderr)
-    dominated_xy, _ = check_domination(increment_matrix(spec_x), increment_matrix(spec_y))
-    return PathMonotonicityReport(points=points, flagged=flagged, dominated_xy=dominated_xy)

@@ -1,0 +1,45 @@
+"""Source-level checks in place of a linter: no unused imports in the
+package, and ``sudfer.__all__`` lists exactly the public names."""
+
+import ast
+import types
+from pathlib import Path
+
+import pytest
+
+import sudfer
+
+MODULES = sorted(Path(sudfer.__file__).parent.glob("*.py"))
+
+
+def imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def used_names(tree):
+    """Every bare name the module reads, plus the names its ``__all__`` re-exports."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert sorted(set(imported_names(tree)) - used_names(tree)) == []
+
+
+def test_all_lists_exactly_the_public_names():
+    public = {
+        name
+        for name, value in vars(sudfer).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(sudfer.__all__) == len(set(sudfer.__all__))
+    assert set(sudfer.__all__) == public

@@ -122,6 +122,24 @@ class TestExitCodes:
         assert set(doc.keys()) == {"config", "records", "summary", "version", "duration_seconds"}
         assert doc["summary"]["pass"] is True
 
+    def test_non_centered_stein_check_exits_zero(self, tmp_path):
+        doc = {
+            "generator": "explicit",
+            "samples": 20_000,
+            "trials": 1,
+            "seed": 6,
+            "spec_x": {
+                "mean": [1.5, -2.0, 0.25],
+                "covariance": [[1.0, 0.3, 0.0], [0.3, 2.0, 0.5], [0.0, 0.5, 1.5]],
+            },
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        assert main(["stein-check", "--config", str(path), "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert [r["pass"] for r in report["records"]] == [True, True, True]
+
     def test_failing_summary_exits_two(self, monkeypatch, capsys):
         def fake_run(config):
             return ExperimentReport(

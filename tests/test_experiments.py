@@ -16,6 +16,7 @@ from sudfer import (
     increment_matrix,
     optimal_beta,
     phi,
+    phi_derivative,
     random_spec,
     run_bound_check,
     run_experiment,
@@ -258,21 +259,72 @@ class TestRunPathDiagnostics:
         assert report.summary["pass"] is True
 
     def test_identical_explicit_specs_have_zero_derivative(self):
-        doc = {"mean": [0.0, 0.0], "covariance": [[1.5, 0.4], [0.4, 1.0]]}
+        docs = (
+            {"mean": [0.0, 0.0], "covariance": [[1.5, 0.4], [0.4, 1.0]]},
+            {"mean": [0.0] * 4, "covariance": np.eye(4).tolist()},
+        )
+        for doc in docs:
+            config = ExperimentConfig(
+                experiment="path-diagnostics",
+                trials=1,
+                samples=5000,
+                seed=10,
+                generator="explicit",
+                beta=2.0,
+                spec_x=doc,
+                spec_y=doc,
+            )
+            report = run_path_diagnostics(config)
+            for record in report.records:
+                assert abs(record["explicit"]) <= 3.0 * record["explicit_stderr"] + 1e-12
+                assert record["sign_pass"] is True
+            assert report.summary["pass"] is True
+
+    def test_records_are_phi_derivative_and_certify_on_the_trial_pair(self):
+        # A dominated n=5 pair: every record is phi_derivative on substream k of
+        # the trial's grid seed, its gamma/domination/beta are the certificate's,
+        # and no grid point fails the sign or consistency check.
+        config = ExperimentConfig(
+            experiment="path-diagnostics", n=5, trials=2, samples=20_000, seed=15, grid=(0.25, 0.5, 0.75)
+        )
+        report = run_path_diagnostics(config)
+        assert len(report.records) == 6
+        for record in report.records:
+            trial_seed = derive_seed(15, record["trial"])
+            x, y = dominated_pair(5, trial_seed, "wishart")
+            cert = certify(x, y)
+            point_seed = derive_seed(derive_seed(trial_seed, 2), config.grid.index(record["t"]))
+            point = phi_derivative(x, y, SmoothMaxParams(cert.optimal_beta), record["t"], 20_000, point_seed)
+            assert (record["gamma"], record["dominated_xy"], record["beta"]) == (
+                cert.gamma, cert.dominates_xy, cert.optimal_beta
+            )
+            explicit, fd = point.explicit, point.finite_difference
+            assert (record["explicit"], record["explicit_stderr"]) == (explicit.value, explicit.stderr)
+            assert (record["finite_difference"], record["finite_difference_stderr"]) == (fd.value, fd.stderr)
+            assert record["dominated_xy"] and record["sign_pass"] and record["consistency_pass"]
+        assert report.summary["pass"] is True
+
+    def test_reversed_dominated_pair_fails_the_sign_check(self):
+        # Swapping a strictly dominated pair makes the derivative strictly
+        # negative along the path; without domination the run still passes.
+        x, y = dominated_pair(5, seed=911, generator="wishart")
+        docs = [{"mean": s.mean.tolist(), "covariance": s.covariance.tolist()} for s in (y, x)]
         config = ExperimentConfig(
             experiment="path-diagnostics",
             trials=1,
-            samples=5000,
-            seed=10,
+            samples=50_000,
+            seed=913,
             generator="explicit",
             beta=2.0,
-            spec_x=doc,
-            spec_y=doc,
+            grid=(0.25, 0.5, 0.75),
+            spec_x=docs[0],
+            spec_y=docs[1],
         )
         report = run_path_diagnostics(config)
+        assert not any(record["dominated_xy"] for record in report.records)
+        assert not all(record["sign_pass"] for record in report.records)
         for record in report.records:
-            assert abs(record["explicit"]) <= 3.0 * record["explicit_stderr"] + 1e-12
-            assert record["sign_pass"] is True
+            assert record["explicit"] <= 3.0 * record["explicit_stderr"]
         assert report.summary["pass"] is True
 
     def test_endpoint_monotonicity_reported(self):

@@ -1,6 +1,7 @@
 """Gaussian law plumbing: validation, increments, sampling, blending."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,28 @@ class TestCommonDrawValues:
         b = sample(spec, 100, seed=2)
         assert not np.shares_memory(a, b)
         assert not np.array_equal(a, b)
+
+    def test_sample_peaks_at_its_result_plus_two_shard_buffers(self):
+        # Each shard is drawn into z, transformed into the row buffer and
+        # written straight into the one (count x n) result.
+        n, count = 256, 4 * SHARD_ROWS
+        spec = validate_spec(np.zeros(n), np.eye(n))
+        tracemalloc.start()
+        try:
+            rows = sample(spec, count, seed=11)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (count, n)
+        assert peak <= (count + 2 * SHARD_ROWS) * n * 8 + 2**20
+
+    def test_a_reduction_must_return_one_entry_per_row(self):
+        spec = validate_spec(np.zeros(2), np.eye(2))
+        for reduce in (lambda rows: rows.sum(), lambda rows: rows[1:], lambda rows: rows.T):
+            with pytest.raises(InvalidInput):
+                common_draw_values([(spec, reduce)], 10, seed=1)
+        with pytest.raises(InvalidInput):  # the trailing shape changes in the last, partial shard
+            common_draw_values([(spec, lambda rows: rows[:, : 1 + (len(rows) < SHARD_ROWS)])], SHARD_ROWS + 1, seed=1)
 
     def test_rejects_bad_arguments(self):
         spec = validate_spec([0.0], [[1.0]])

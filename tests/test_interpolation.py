@@ -10,12 +10,10 @@ from oracles import gaussian_expectation_2d_quad
 from sudfer import (
     DomainError,
     InvalidInput,
-    NotCentered,
     SmoothMaxParams,
     derive_seed,
     dominated_pair,
     increment_matrix,
-    path_monotonicity_report,
     phi,
     phi_derivative,
     sample,
@@ -84,6 +82,14 @@ class TestPhi:
         blended = blended_spec(x, y, 0.25)
         assert np.array_equal(blended.mean, np.zeros(2))
         assert np.array_equal(blended.covariance, 1.5 * np.eye(2))
+
+    def test_monotone_endpoints_for_dominated_pairs(self):
+        params = SmoothMaxParams(1.0)
+        for k in range(5):
+            x, y = dominated_pair(4, seed=920 + k, generator="wishart")
+            lo = phi(x, y, params, 0.0, 30_000, seed=930 + k)
+            hi = phi(x, y, params, 1.0, 30_000, seed=930 + k)
+            assert hi.value >= lo.value - 3.0 * math.hypot(lo.stderr, hi.stderr)
 
 
 class TestExplicitDerivative:
@@ -215,13 +221,6 @@ class TestPhiDerivative:
         expected = estimate_from_values((upper - lower) / (2.0 * h), seed)
         assert phi_derivative(x, y, params, t, self.SAMPLES, seed).finite_difference == expected
 
-    def test_report_points_are_phi_derivative_on_derived_seeds(self):
-        x, y = self.pair()
-        params = SmoothMaxParams(1.0)
-        report = path_monotonicity_report(x, y, params, (0.2, 0.6), 3000, seed=954)
-        for k, t in enumerate((0.2, 0.6)):
-            assert report.points[k] == phi_derivative(x, y, params, t, 3000, derive_seed(954, k))
-
 
 class TestSteinResiduals:
     def test_linear_functional_hook(self):
@@ -264,10 +263,22 @@ class TestSteinResiduals:
         for i, est in enumerate(full):
             assert est == estimate_from_values(values[:, i], 79)
 
-    def test_rejects_uncentered_laws(self):
-        spec = validate_spec([0.0, 1e-6], np.eye(2))
-        with pytest.raises(NotCentered):
-            stein_residuals(spec, SmoothMaxParams(1.0), 100, seed=83)
+    def test_non_centered_laws_pass_every_coordinate(self):
+        # The identity holds for any mean once V_i is centered at mu_i.
+        rng = np.random.default_rng(83)
+        for k in range(10):
+            cov = random_centered_spec(rng, 6).covariance
+            spec = validate_spec(rng.normal(0.0, 2.0, size=6), cov)
+            for est in stein_residuals(spec, SmoothMaxParams(1.0), 200_000, seed=840 + k):
+                assert abs(est.value) <= 3.0 * est.stderr
+
+    def test_a_centered_law_keeps_its_residual_bytes(self):
+        # rows - 0.0 is bitwise rows: centered residuals are exactly V_i F(V) - (S grad F)_i.
+        spec = random_centered_spec(np.random.default_rng(85), 3)
+        params = SmoothMaxParams(1.5)
+        rows = sample(spec, 3000, 87)
+        expected = rows * smooth_max(rows, params)[:, None] - softmax(rows, params) @ spec.covariance
+        assert np.array_equal(stein_residual_values(spec, params, 3000, 87), expected)
 
     def test_functional_and_gradient_must_travel_together(self):
         spec = iid_spec(2)
@@ -275,53 +286,3 @@ class TestSteinResiduals:
             stein_residuals(
                 spec, SmoothMaxParams(1.0), 100, seed=89, functional=lambda rows: rows[:, 0]
             )
-
-
-class TestPathMonotonicityReport:
-    def test_dominated_pair_raises_no_flags(self):
-        x, y = dominated_pair(5, seed=901, generator="wishart")
-        report = path_monotonicity_report(
-            x, y, SmoothMaxParams(1.0), (0.25, 0.5, 0.75), 20_000, seed=903
-        )
-        assert report.dominated_xy
-        assert report.flagged == ()
-        assert len(report.points) == 3
-        for point in report.points:
-            tol = 3.0 * point.combined_stderr() + 1e-4 * point.beta
-            assert point.consistency_gap() <= tol
-
-    def test_equal_specs_zero_everything(self):
-        spec = iid_spec(4)
-        report = path_monotonicity_report(
-            spec, spec, SmoothMaxParams(2.0), (0.3, 0.7), 5000, seed=907
-        )
-        assert report.flagged == ()
-        for point in report.points:
-            assert abs(point.explicit.value) <= 3.0 * point.explicit.stderr + 1e-12
-
-    def test_reversed_domination_is_flagged(self):
-        # Swapping a strictly dominated pair makes the derivative strictly
-        # negative along the path, which the 3-sigma flag must pick up.
-        x, y = dominated_pair(5, seed=911, generator="wishart")
-        report = path_monotonicity_report(
-            y, x, SmoothMaxParams(2.0), (0.25, 0.5, 0.75), 50_000, seed=913
-        )
-        assert not report.dominated_xy
-        assert len(report.flagged) > 0
-        for point in report.points:
-            assert point.explicit.value <= 3.0 * point.explicit.stderr
-
-    def test_monotone_endpoints_for_dominated_pairs(self):
-        params = SmoothMaxParams(1.0)
-        for k in range(5):
-            x, y = dominated_pair(4, seed=920 + k, generator="wishart")
-            lo = phi(x, y, params, 0.0, 30_000, seed=930 + k)
-            hi = phi(x, y, params, 1.0, 30_000, seed=930 + k)
-            assert hi.value >= lo.value - 3.0 * math.hypot(lo.stderr, hi.stderr)
-
-    def test_grid_validation(self):
-        spec = iid_spec(2)
-        with pytest.raises(InvalidInput):
-            path_monotonicity_report(spec, spec, SmoothMaxParams(1.0), (), 100, seed=1)
-        with pytest.raises(DomainError):
-            path_monotonicity_report(spec, spec, SmoothMaxParams(1.0), (0.0, 0.5), 100, seed=1)
