@@ -9,6 +9,7 @@ from oracles import gaussian_expectation_2d_quad
 
 from sudfer import (
     DomainError,
+    ExperimentConfig,
     InvalidInput,
     SmoothMaxParams,
     derive_seed,
@@ -16,6 +17,7 @@ from sudfer import (
     increment_matrix,
     phi,
     phi_derivative,
+    run_path_diagnostics,
     sample,
     softmax,
     stein_residuals,
@@ -33,6 +35,23 @@ def iid_spec(n):
 
 def zero_spec(n):
     return validate_spec(np.zeros(n), np.zeros((n, n)))
+
+
+def path_report(x, y, beta, grid, samples, seed):
+    """run_path_diagnostics on the explicit pair (x, y): one trial, fixed beta."""
+    docs = [{"mean": s.mean.tolist(), "covariance": s.covariance.tolist()} for s in (x, y)]
+    config = ExperimentConfig(
+        experiment="path-diagnostics",
+        trials=1,
+        samples=samples,
+        seed=seed,
+        generator="explicit",
+        beta=beta,
+        grid=grid,
+        spec_x=docs[0],
+        spec_y=docs[1],
+    )
+    return run_path_diagnostics(config)
 
 
 def random_centered_spec(rng, n):
@@ -221,6 +240,22 @@ class TestPhiDerivative:
         expected = estimate_from_values((upper - lower) / (2.0 * h), seed)
         assert phi_derivative(x, y, params, t, self.SAMPLES, seed).finite_difference == expected
 
+    def test_report_points_are_phi_derivative_on_derived_seeds(self):
+        x, y = self.pair()
+        params = SmoothMaxParams(1.0)
+        report = path_report(x, y, 1.0, (0.2, 0.6), 3000, seed=954)
+        grid_seed = derive_seed(derive_seed(954, 0), 2)
+        for k, t in enumerate((0.2, 0.6)):
+            point = phi_derivative(x, y, params, t, 3000, derive_seed(grid_seed, k))
+            record = report.records[k]
+            assert (record["t"], record["beta"]) == (t, 1.0)
+            assert (record["explicit"], record["explicit_stderr"]) == (
+                point.explicit.value, point.explicit.stderr
+            )
+            assert (record["finite_difference"], record["finite_difference_stderr"]) == (
+                point.finite_difference.value, point.finite_difference.stderr
+            )
+
 
 class TestSteinResiduals:
     def test_linear_functional_hook(self):
@@ -286,3 +321,24 @@ class TestSteinResiduals:
             stein_residuals(
                 spec, SmoothMaxParams(1.0), 100, seed=89, functional=lambda rows: rows[:, 0]
             )
+
+
+class TestPathMonotonicityReport:
+    # The per-point path report is the record list of run_path_diagnostics.
+    def test_dominated_pair_raises_no_flags(self):
+        x, y = dominated_pair(5, seed=901, generator="wishart")
+        report = path_report(x, y, 1.0, (0.25, 0.5, 0.75), 20_000, seed=903)
+        assert len(report.records) == 3
+        for record in report.records:
+            assert record["dominated_xy"] is True
+            assert record["sign_pass"] is True
+            tol = 3.0 * math.hypot(record["explicit_stderr"], record["finite_difference_stderr"]) + 1e-4
+            assert abs(record["explicit"] - record["finite_difference"]) <= tol
+        assert report.summary["pass"] is True
+
+    def test_equal_specs_zero_everything(self):
+        spec = iid_spec(4)
+        report = path_report(spec, spec, 2.0, (0.3, 0.7), 5000, seed=907)
+        for record in report.records:
+            assert record["sign_pass"] is True
+            assert abs(record["explicit"]) <= 3.0 * record["explicit_stderr"] + 1e-12
