@@ -26,7 +26,7 @@ class InvalidInput(SudferError, ValueError):
 
 
 class FactorizationFailure(SudferError):
-    """Covariance could not be factorized even after eigenvalue clamping."""
+    """The eigendecomposition of a covariance that Cholesky rejected did not converge."""
 
 
 class MeanMismatch(SudferError, ValueError):

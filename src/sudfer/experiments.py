@@ -75,13 +75,22 @@ def zero_spec(n: int) -> GaussianSpec:
 
 
 def spec_from_document(doc: dict) -> GaussianSpec:
-    """Parse {"mean": [...], "covariance": [[...], ...]} into a validated spec."""
+    """Parse {"mean": [...], "covariance": [[...], ...]} into a validated spec.
+    Every entry must be a finite real number: bools, strings and nulls are not coerced."""
     try:
         mean = doc["mean"]
         cov = doc["covariance"]
     except (TypeError, KeyError) as exc:
         raise ConfigError('explicit specs need "mean" and "covariance" keys') from exc
+    bad = [v for v in _entries(mean) + _entries(cov) if not _is_finite_real(v)]
+    if bad:
+        raise ConfigError(f"explicit spec entries must be finite real numbers, got {bad[0]!r}")
     return validate_spec(mean, cov)
+
+
+def _entries(value: Any) -> list:
+    """The leaves of nested lists (``value`` itself when it is not a list)."""
+    return [leaf for item in value for leaf in _entries(item)] if isinstance(value, (list, tuple)) else [value]
 
 
 def dominated_pair(n: int, seed: int, generator: str) -> tuple[GaussianSpec, GaussianSpec]:

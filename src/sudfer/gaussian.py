@@ -20,14 +20,16 @@ never change the result.  Laws of one dimension share the normals of a seed,
 so :func:`common_draw_values`, on which every Monte Carlo estimator is built,
 draws each shard once for a group of laws and keeps per-row reductions only.
 Every shard is drawn and transformed into the same two buffers, and each
-law's per-row values are written into one preallocated result.  Diagonal
-covariances (the iid and zero laws) are recognised in O(n^2) and skip every
-O(n^3) step: eigvalsh in validation, Cholesky and eigh in factoring.
+law's per-row values are written into one preallocated result.  Each law is
+checked and factored once, when its GaussianSpec is built, by one decomposition
+(:func:`_factor`); diagonal laws (the iid and zero laws) skip every O(n^3) step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import contextlib
+import numbers
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -83,36 +85,42 @@ def derive_seed(seed: int, *path: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class GaussianSpec:
-    """The law of one finite Gaussian vector: mean and covariance.
+    """The law of one finite Gaussian vector: mean, covariance and its factor.
 
-    Construction checks shapes, finiteness and exact symmetry.  The PSD
-    tolerance check (and clamping of tiny negative eigenvalues) lives in
-    :func:`validate_spec`, which is how specs should normally be built.
+    Construction checks shapes, finiteness and exact symmetry, then makes the
+    one PSD decision (:func:`_factor`): rounding-level negative eigenvalues
+    are clamped to zero in the stored covariance, larger ones raise NotPSD.
+    ``factor`` is a read-only L with L @ L.T equal to the stored covariance,
+    1-d when L is diagonal; every draw of the law is mean + L z.
     """
 
     mean: np.ndarray
     covariance: np.ndarray
+    factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=np.float64)
-        cov = np.asarray(self.covariance, dtype=np.float64)
+        try:
+            mean = np.asarray(self.mean, dtype=np.float64)
+            cov = np.asarray(self.covariance, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput(f"mean/covariance must be arrays of real numbers: {exc}") from exc
         if mean.ndim != 1 or cov.ndim != 2:
-            raise DimensionMismatch(
-                f"mean must be 1-d and covariance 2-d, got shapes {mean.shape} and {cov.shape}"
-            )
+            raise DimensionMismatch(f"mean must be 1-d and covariance 2-d, got shapes {mean.shape} and {cov.shape}")
         n = mean.shape[0]
         if n < 1:
             raise DimensionMismatch("need at least one coordinate")
         if cov.shape != (n, n):
-            raise DimensionMismatch(
-                f"covariance shape {cov.shape} does not match mean length {n}"
-            )
+            raise DimensionMismatch(f"covariance shape {cov.shape} does not match mean length {n}")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise InvalidInput("mean/covariance entries must be finite")
-        if not (_is_diagonal(cov) or np.array_equal(cov, cov.T)):  # the transposed compare is the slow one
+        diagonal = _is_diagonal(cov)
+        if not (diagonal or np.array_equal(cov, cov.T)):  # the transposed compare is the slow one
             raise NotSymmetric("covariance is not exactly symmetric as stored")
+        cov, factor = _factor(cov, diagonal)
+        factor.setflags(write=False)  # always a fresh array: no copy needed
         object.__setattr__(self, "mean", _as_readonly(mean))
         object.__setattr__(self, "covariance", _as_readonly(cov))
+        object.__setattr__(self, "factor", factor)
 
     @property
     def n(self) -> int:
@@ -150,28 +158,8 @@ class IncrementMatrix:
 
 
 def validate_spec(mean, covariance) -> GaussianSpec:
-    """Build a validated GaussianSpec.
-
-    Raises DimensionMismatch / NotSymmetric / NotPSD per the failed check.
-    Eigenvalues in [-PSD_RTOL*(1+trace), 0) are rounding noise: the covariance
-    is re-assembled with them clamped to zero so that downstream factorization
-    cannot trip over them.
-    """
-    spec = GaussianSpec(np.asarray(mean, dtype=np.float64), np.asarray(covariance, dtype=np.float64))
-    cov = spec.covariance
-    if _is_diagonal(cov) and float(np.diagonal(cov).min()) >= 0.0:
-        return spec  # a diagonal matrix is PSD exactly when its diagonal is nonnegative
-    tol = PSD_RTOL * (1.0 + float(np.trace(cov)))
-    smallest = float(np.linalg.eigvalsh(cov)[0])
-    if smallest < -tol:
-        raise NotPSD(f"covariance has eigenvalue {smallest:.6g} below tolerance {-tol:.6g}")
-    if smallest < 0.0:
-        w, v = np.linalg.eigh(cov)
-        w = np.maximum(w, 0.0)
-        clamped = (v * w) @ v.T
-        clamped = (clamped + clamped.T) / 2.0  # exact symmetry after the matmul
-        return GaussianSpec(spec.mean, clamped)
-    return spec
+    """Build a GaussianSpec: every check, clamp and factorization is the constructor's."""
+    return GaussianSpec(mean, covariance)
 
 
 def increment_matrix(spec: GaussianSpec) -> IncrementMatrix:
@@ -192,30 +180,34 @@ def _is_diagonal(a: np.ndarray) -> bool:
     return np.count_nonzero(a) == np.count_nonzero(np.diagonal(a))
 
 
-def _factor(spec: GaussianSpec) -> np.ndarray:
-    """A factor L with L @ L.T equal to the covariance (1-d when L is diagonal).
+def _factor(cov: np.ndarray, diagonal: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The one PSD decision: ``(cov, factor)`` with factor @ factor.T equal to cov.
 
-    An all-positive or all-zero diagonal gets sqrt(diagonal), bitwise what
-    Cholesky gives.  Other laws get Cholesky when numerically PD, else the
-    eigendecomposition with negative eigenvalues clamped to zero (degenerate
-    laws, and zero/positive diagonals, whose factor may permute the normals).
+    ``diagonal`` is ``_is_diagonal(cov)``.  An all-positive or all-zero
+    diagonal gets sqrt(diagonal), bitwise what Cholesky gives; other matrices
+    that Cholesky accepts keep its factor.  Otherwise one eigendecomposition
+    (degenerate laws, zero/positive diagonals) rejects an eigenvalue below
+    -PSD_RTOL*(1+trace) with NotPSD and clamps negative ones above it to zero,
+    in the covariance and the factor alike.  A diagonal factor is returned 1-d.
     """
-    cov = spec.covariance
     d = np.diagonal(cov)
-    if _is_diagonal(cov) and (float(d.min()) > 0.0 or not d.any()):
-        return np.sqrt(d)
+    if diagonal and (float(d.min()) > 0.0 or not d.any()):
+        return cov, np.sqrt(d)
+    with contextlib.suppress(np.linalg.LinAlgError):
+        return cov, np.linalg.cholesky(cov)
     try:
-        factor = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        try:
-            w, v = np.linalg.eigh(cov)
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationFailure(f"eigendecomposition failed: {exc}") from exc
-        tol = PSD_RTOL * (1.0 + float(np.trace(cov)))
-        if float(w[0]) < -tol:
-            raise FactorizationFailure(f"covariance is numerically indefinite (eigenvalue {float(w[0]):.6g})")
-        factor = v * np.sqrt(np.maximum(w, 0.0))
-    return np.diagonal(factor).copy() if _is_diagonal(factor) else factor
+        w, v = np.linalg.eigh(cov)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationFailure(f"eigendecomposition did not converge: {exc}") from exc
+    tol = PSD_RTOL * (1.0 + float(np.trace(cov)))
+    if float(w[0]) < -tol:
+        raise NotPSD(f"covariance has eigenvalue {float(w[0]):.6g} below tolerance {-tol:.6g}")
+    if float(w[0]) < 0.0:
+        w = np.maximum(w, 0.0)
+        cov = (v * w) @ v.T
+        cov = (cov + cov.T) / 2.0  # exact symmetry after the matmul
+    factor = v * np.sqrt(w)
+    return cov, (np.diagonal(factor).copy() if _is_diagonal(factor) else factor)
 
 
 def _transform(z: np.ndarray, factor: np.ndarray, mean: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -233,28 +225,26 @@ def common_draw_values(
 ) -> list[np.ndarray]:
     """Per-row values of several laws evaluated on common standard normals.
 
-    ``laws`` is a sequence of ``(spec, reduce)`` pairs of one dimension.  Shard
-    k (rows [k*SHARD_ROWS, ...)) draws z once from the substream derived from
-    (seed, k), transforms it by each law in turn, and keeps only what that
-    law's ``reduce`` returns for the shard's rows: an array with one entry per
-    row and the same trailing shape on every shard (else InvalidInput),
-    written into those rows of law j's one preallocated result.  That result
-    does not depend on the other laws: ``sample(spec, count, seed)`` is
-    ``common_draw_values([(spec, np.asarray)], count, seed)[0]``.  A law with
+    ``laws`` is a sequence of ``(spec, reduce)`` pairs of one dimension, and
+    ``count`` an integer.  Shard k (rows [k*SHARD_ROWS, ...)) draws z once from
+    the substream derived from (seed, k) and transforms it by each law's factor
+    in turn; ``reduce`` returns one entry per row, with the same trailing shape
+    on every shard (else InvalidInput), kept in law j's preallocated result.
+    That result does not depend on the other laws: ``sample(spec, count, seed)``
+    is ``common_draw_values([(spec, np.asarray)], count, seed)[0]``.  A law with
     an all-zero factor is its mean on every row and draws no normals.  Shards
-    are drawn into one buffer and transformed into another, shared by all
-    laws: ``reduce`` never sees z, and may modify its rows or return a view
-    of them (the result holds a copy).
+    are drawn into one buffer and transformed into another, shared by all laws:
+    ``reduce`` never sees z, and may modify its rows or return a view of them,
+    which the result copies.
     """
-    if count < 1:
-        raise InvalidInput(f"count must be >= 1, got {count}")
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+        raise InvalidInput(f"count must be an integer >= 1, got {count!r}")
     check_seed(seed)
     dimensions = {spec.n for spec, _ in laws}
     if len(dimensions) != 1:
         raise DimensionMismatch(f"common draws need laws of one dimension, got dimensions {sorted(dimensions)}")
     (n,) = dimensions
-    factors = [_factor(spec) for spec, _ in laws]
-    drawn = [bool(factor.any()) for factor in factors]  # z * 0 + mean == mean: zero factors draw nothing
+    drawn = [bool(spec.factor.any()) for spec, _ in laws]  # z * 0 + mean == mean: zero factors draw nothing
     zbuf, rowbuf = (np.empty((min(SHARD_ROWS, count), n)) for _ in range(2))
     results: list[np.ndarray | None] = [None] * len(laws)
     for k, start in enumerate(range(0, count, SHARD_ROWS)):
@@ -262,9 +252,9 @@ def common_draw_values(
         z = zbuf[:rows]
         if any(drawn):
             np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,))).standard_normal(out=z)
-        for j, ((spec, reduce), factor, random) in enumerate(zip(laws, factors, drawn)):
+        for j, ((spec, reduce), random) in enumerate(zip(laws, drawn)):
             if random:
-                values = np.asarray(reduce(_transform(z, factor, spec.mean, rowbuf[:rows])))
+                values = np.asarray(reduce(_transform(z, spec.factor, spec.mean, rowbuf[:rows])))
             else:
                 values = np.asarray(reduce(np.broadcast_to(spec.mean, (rows, n))))
             if results[j] is None and values.ndim > 0:
@@ -292,16 +282,16 @@ def blended_spec(spec_x: GaussianSpec, spec_y: GaussianSpec, t: float) -> Gaussi
     """Law of the square-root blend at time t in [0, 1].
 
     Covariance is the entrywise convex combination of the two (centered)
-    covariances; the mean is the shared mean (interpolated, so that the
-    t=0 / t=1 endpoints reproduce the inputs exactly even when the means
-    differ by tolerance-level noise).  PSD holds by convexity, so no
-    re-clamping is done and endpoints round-trip bit-identically.
+    covariances, PSD by convexity; the shared mean is interpolated likewise
+    (the two may differ by tolerance-level noise).  At t = 0 and t = 1 the
+    inputs themselves are returned, factor included, so endpoints round-trip
+    bit-identically and a clamped law is never clamped twice.
     """
     if not (0.0 <= t <= 1.0):
         raise DomainError(f"t must lie in [0, 1], got {t}")
     if not means_equal(spec_x, spec_y):
         raise MeanMismatch("blending requires entrywise equal means")
+    if t in (0.0, 1.0):
+        return spec_y if t else spec_x
     s = 1.0 - t
-    mean = s * spec_x.mean + t * spec_y.mean
-    cov = s * spec_x.covariance + t * spec_y.covariance
-    return GaussianSpec(mean, cov)
+    return GaussianSpec(s * spec_x.mean + t * spec_y.mean, s * spec_x.covariance + t * spec_y.covariance)

@@ -83,6 +83,25 @@ class TestConfigAssembly:
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"mean": "abc", "covariance": [[1.0]]},
+            {"mean": [0.0, 0.0], "covariance": [[1.0, 0.0], [0.0]]},
+            {"mean": [True], "covariance": [[1.0]]},
+            {"mean": ["1"], "covariance": [[1.0]]},
+            {"mean": [0.0], "covariance": [["1"]]},
+            {"mean": [None], "covariance": [[1.0]]},
+            {"mean": [0.0], "covariance": [[False]]},
+        ],
+    )
+    def test_malformed_inline_specs_are_clean_errors(self, tmp_path, capsys, spec):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"generator": "explicit", "samples": 2000, "trials": 1, "spec_x": spec}))
+        assert main(["bound-check", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_explicit_specs_come_from_the_document(self, tmp_path):
         doc = {
             "generator": "explicit",

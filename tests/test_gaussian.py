@@ -17,12 +17,14 @@ from sudfer import (
     NotSymmetric,
     blended_spec,
     derive_seed,
+    expected_max_mc,
     increment_matrix,
     sample,
     validate_spec,
 )
-from sudfer.experiments import ExperimentConfig, run_sharpness
-from sudfer.gaussian import PSD_RTOL, SHARD_ROWS, _factor, check_seed, common_draw_values, means_equal
+from sudfer import gaussian
+from sudfer.experiments import ExperimentConfig, run_bound_check, run_sharpness
+from sudfer.gaussian import PSD_RTOL, SHARD_ROWS, check_seed, common_draw_values, means_equal
 
 
 def random_psd_spec(rng, n):
@@ -57,8 +59,13 @@ class TestValidateSpec:
             validate_spec([0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]])
 
     def test_rejects_indefinite_covariance(self):
+        # The constructor makes the PSD decision, so a raw spec is checked too.
         with pytest.raises(NotPSD):
             validate_spec([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(NotPSD):
+            GaussianSpec(np.zeros(2), -np.eye(2))
+        with pytest.raises(NotPSD):
+            GaussianSpec(np.zeros(3), np.array([[1.0, 0.5, 2.0], [0.5, 1.0, 0.1], [2.0, 0.1, 1.0]]))
 
     def test_clamps_rounding_level_negative_eigenvalue(self):
         # Eigenvalues {1, -eps} with eps inside the relative band get clamped
@@ -278,6 +285,12 @@ class TestCommonDrawValues:
             common_draw_values([(spec, np.asarray), (validate_spec(np.zeros(2), np.eye(2)), np.asarray)], 10, seed=1)
         with pytest.raises(InvalidInput):
             common_draw_values([(spec, np.asarray)], 0, seed=1)
+        for count in (10.5, True, 10.0):
+            with pytest.raises(InvalidInput):
+                sample(spec, count, 1)
+        with pytest.raises(InvalidInput):
+            expected_max_mc(spec, 100.0, 1)
+        assert sample(spec, np.int64(3), 1).shape == (3, 1)
 
 
 class TestStructuredLaws:
@@ -302,7 +315,7 @@ class TestStructuredLaws:
         mean = np.array([0.5, -1.0, 2.0, 0.0])
         cov = np.diag([2.0, 0.3, 1.0, 7.5])
         spec = validate_spec(mean, cov)
-        assert _factor(spec).ndim == 1
+        assert spec.factor.ndim == 1
         count = SHARD_ROWS + 257
         dense_factor = np.linalg.cholesky(cov)
         expected = []
@@ -323,6 +336,51 @@ class TestStructuredLaws:
         expected = np.array([[float.fromhex(x) for x in row] for row in golden])
         assert np.array_equal(sample(spec, 3, seed=11), expected)
         assert np.array_equal(sample(spec, SHARD_ROWS + 1, seed=11)[:3], expected)
+
+    def test_rank_one_law_keeps_its_draws(self):
+        # Cholesky rejects the all-ones matrix; its factor comes from the one
+        # eigendecomposition that also clamps the covariance.  The values below
+        # pin the draws of that path.
+        spec = validate_spec([0.0, 1.0, -1.0], np.ones((3, 3)))
+        golden = [
+            ["0x1.3ab601396fc78p-2", "0x1.4ead804e5bf1dp+0", "-0x1.62a4ff63481c6p-1"],
+            ["-0x1.37fa22c7da34fp-1", "0x1.900bba704b96cp-2", "-0x1.9bfd1163ed1a6p+0"],
+            ["-0x1.2d4440442e965p-1", "0x1.a5777f77a2d40p-2", "-0x1.96a22022174b1p+0"],
+        ]
+        expected = np.array([[float.fromhex(x) for x in row] for row in golden])
+        assert np.array_equal(sample(spec, 3, seed=11), expected)
+        assert np.array_equal(sample(spec, SHARD_ROWS + 1, seed=11)[:3], expected)
+
+
+class TestLawObject:
+    def test_dense_law_needs_no_eigendecomposition(self, monkeypatch):
+        def eigen(*args, **kwargs):
+            raise AssertionError("a positive definite law reached an eigendecomposition")
+
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, eigen)
+        cov = [[2.0, 0.5, 0.1], [0.5, 1.0, 0.3], [0.1, 0.3, 1.5]]
+        spec = validate_spec([0.0, 1.0, 0.5], cov)
+        assert spec.factor.ndim == 2 and not spec.factor.flags.writeable
+        assert np.array_equal(sample(spec, 500, seed=3), sample(spec, 500, seed=3))
+        doc = {"mean": [0.0, 1.0, 0.5], "covariance": cov}
+        config = ExperimentConfig(experiment="bound-check", generator="explicit", spec_x=doc, samples=2000, trials=1)
+        assert run_bound_check(config).passed()
+
+    def test_each_law_is_factored_once(self, monkeypatch):
+        calls = []
+        factor = gaussian._factor
+
+        def counting(*args):
+            calls.append(args)
+            return factor(*args)
+
+        monkeypatch.setattr(gaussian, "_factor", counting)
+        spec = validate_spec(np.zeros(3), [[2.0, 0.5, 0.1], [0.5, 1.0, 0.3], [0.1, 0.3, 1.5]])
+        sample(spec, 100, seed=1)
+        sample(spec, 200, seed=2)
+        expected_max_mc(spec, 100, seed=3)
+        assert len(calls) == 1
 
 
 class TestMeansEqual:
@@ -348,6 +406,16 @@ class TestBlendedSpec:
         assert np.array_equal(at0.mean, x.mean)
         assert np.array_equal(at0.covariance, x.covariance)
         assert np.array_equal(at1.covariance, y.covariance)
+        for _ in range(50):  # rank-deficient laws, some clamped at construction, are not clamped again
+            n = int(rng.integers(2, 7))
+            a, b = (rng.standard_normal((n, int(rng.integers(1, n)))) for _ in range(2))
+            x = validate_spec(rng.standard_normal(n), (a @ a.T + (a @ a.T).T) / 2.0)
+            y = validate_spec(x.mean, (b @ b.T + (b @ b.T).T) / 2.0)
+            for t, spec in ((0.0, x), (1.0, y)):
+                blend = blended_spec(x, y, t)
+                assert np.array_equal(blend.mean, spec.mean)
+                assert np.array_equal(blend.covariance, spec.covariance)
+                assert np.array_equal(blend.factor, spec.factor)
 
     def test_constant_path_for_equal_specs(self):
         spec = validate_spec([1.0, 1.0], [[2.0, 1.0], [1.0, 2.0]])
