@@ -15,8 +15,6 @@ from .bounds import (
     BoundCertificate,
     beta_tradeoff_bound,
     certify,
-    check_domination,
-    gamma_discrepancy,
     optimal_beta,
     sf_bound,
 )
@@ -56,7 +54,6 @@ from .experiments import (
 )
 from .gaussian import (
     GaussianSpec,
-    IncrementMatrix,
     blended_spec,
     derive_seed,
     increment_matrix,
@@ -97,7 +94,6 @@ __all__ = [
     "ExperimentReport",
     "FactorizationFailure",
     "GaussianSpec",
-    "IncrementMatrix",
     "InvalidInput",
     "MCEstimate",
     "MeanMismatch",
@@ -109,13 +105,11 @@ __all__ = [
     "beta_tradeoff_bound",
     "blended_spec",
     "certify",
-    "check_domination",
     "derive_seed",
     "dominated_pair",
     "empirical_gap",
     "expected_max_bivariate_exact",
     "expected_max_mc",
-    "gamma_discrepancy",
     "iid_standard_spec",
     "increment_matrix",
     "optimal_beta",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGamma, DegenerateN, DimensionMismatch, DomainError
-from .gaussian import GaussianSpec, IncrementMatrix, increment_matrix, means_equal
+from .gaussian import GaussianSpec, increment_matrix, means_equal
 
 
 @dataclass(frozen=True)
@@ -42,18 +42,6 @@ class BoundCertificate:
     dominates_xy: bool
     dominates_yx: bool
     means_equal: bool
-
-
-def _check_same_n(g_x: IncrementMatrix, g_y: IncrementMatrix) -> int:
-    if g_x.n != g_y.n:
-        raise DimensionMismatch(f"increment matrices differ in size: {g_x.n} vs {g_y.n}")
-    return g_x.n
-
-
-def gamma_discrepancy(g_x: IncrementMatrix, g_y: IncrementMatrix) -> float:
-    """Max entrywise absolute difference of the two increment matrices."""
-    _check_same_n(g_x, g_y)
-    return float(np.max(np.abs(g_x.entries - g_y.entries)))
 
 
 def sf_bound(gamma: float, n: int) -> float:
@@ -89,40 +77,27 @@ def optimal_beta(gamma: float, n: int) -> float:
     return 2.0 * math.sqrt(math.log(n) / gamma)
 
 
-def check_domination(g_x: IncrementMatrix, g_y: IncrementMatrix) -> tuple[bool, bool]:
-    """Entrywise (gX <= gY, gY <= gX), with exact comparisons.
-
-    No tolerance on purpose: slack here would silently weaken the theorem's
-    hypothesis.  Callers building increments from noisy arithmetic should add
-    explicit slack upstream.
-    """
-    _check_same_n(g_x, g_y)
-    xy = bool(np.all(g_x.entries <= g_y.entries))
-    yx = bool(np.all(g_y.entries <= g_x.entries))
-    return xy, yx
-
-
 def certify(spec_x: GaussianSpec, spec_y: GaussianSpec) -> BoundCertificate:
     """Full comparison certificate for a pair of laws of equal dimension.
 
-    The increment matrices (and hence gamma and the domination flags) are
-    well defined even when the means differ; ``means_equal`` records whether
-    the comparison conclusions actually apply.
+    gamma and the domination flags are the largest absolute entry and the sign
+    pattern of one difference gY - gX, defined even when the means differ;
+    ``means_equal`` records whether the comparison conclusions actually apply.
     """
     if spec_x.n != spec_y.n:
         raise DimensionMismatch(f"dimensions differ: {spec_x.n} vs {spec_y.n}")
-    g_x = increment_matrix(spec_x)
-    g_y = increment_matrix(spec_y)
-    gamma = gamma_discrepancy(g_x, g_y)
+    diff = increment_matrix(spec_y) - increment_matrix(spec_x)
+    gamma = float(np.max(np.abs(diff)))
     n = spec_x.n
-    xy, yx = check_domination(g_x, g_y)
     beta_star = optimal_beta(gamma, n) if (gamma > 0 and n >= 2) else math.inf
     return BoundCertificate(
         n=n,
         gamma=gamma,
         bound=sf_bound(gamma, n),
         optimal_beta=beta_star,
-        dominates_xy=xy,
-        dominates_yx=yx,
+        # Exact, no tolerance on purpose: slack would silently weaken the theorem's
+        # hypothesis.  Callers with noisy increments add explicit slack upstream.
+        dominates_xy=bool(np.all(diff >= 0.0)),
+        dominates_yx=bool(np.all(diff <= 0.0)),
         means_equal=means_equal(spec_x, spec_y),
     )

@@ -97,7 +97,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         with open(args.config, "r", encoding="utf-8") as handle:
             try:
                 loaded = json.load(handle)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise SudferError(f"config file {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise SudferError(f"config file must hold a JSON object, got {type(loaded).__name__}")

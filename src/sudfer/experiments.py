@@ -45,6 +45,11 @@ def random_spec(n: int, seed: int, generator: str) -> GaussianSpec:
     equicorrelated: (1-rho) I + rho 11^T with rho ~ U[0, 1)
     diagonal:       diag of iid U[0.1, 2]
     """
+    return validate_spec(np.zeros(n), _random_covariance(n, seed, generator))
+
+
+def _random_covariance(n: int, seed: int, generator: str) -> np.ndarray:
+    """The covariance of ``random_spec(n, seed, generator)``, with no law built."""
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=check_seed(seed)))
@@ -61,7 +66,7 @@ def random_spec(n: int, seed: int, generator: str) -> GaussianSpec:
         raise UnknownGenerator(
             f"unknown generator {generator!r} (explicit specs are resolved from the config)"
         )
-    return validate_spec(np.zeros(n), cov)
+    return cov
 
 
 def iid_standard_spec(n: int) -> GaussianSpec:
@@ -100,9 +105,8 @@ def dominated_pair(n: int, seed: int, generator: str) -> tuple[GaussianSpec, Gau
     increment matrix of Y dominates that of X entrywise by construction.
     """
     spec_x = random_spec(n, derive_seed(seed, 0), generator)
-    noise = random_spec(n, derive_seed(seed, 1), generator)
-    spec_y = validate_spec(spec_x.mean, spec_x.covariance + noise.covariance)
-    return spec_x, spec_y
+    noise = _random_covariance(n, derive_seed(seed, 1), generator)
+    return spec_x, validate_spec(spec_x.mean, spec_x.covariance + noise)
 
 
 def _integer(name: str, value: Any) -> int:

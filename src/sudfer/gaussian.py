@@ -5,7 +5,8 @@ also computes the increment matrix
 
     g[i, j] = E (V_i - V_j)^2 = cov[i,i] + cov[j,j] - 2 cov[i,j] + (mu_i - mu_j)^2
 
-whose entrywise comparison is the currency of Gaussian comparison theorems,
+as a plain read-only array, whose entrywise comparison is the currency of
+Gaussian comparison theorems (:func:`sudfer.bounds.certify` compares a pair),
 and realizes the "square-root blend" between two equal-mean laws,
 
     (1 - t) * centered covariance of X  +  t * centered covariance of Y,
@@ -100,6 +101,8 @@ class GaussianSpec:
 
     def __post_init__(self) -> None:
         try:
+            if np.iscomplexobj(self.mean) or np.iscomplexobj(self.covariance):
+                raise TypeError("complex entries are not truncated to their real part")
             mean = np.asarray(self.mean, dtype=np.float64)
             cov = np.asarray(self.covariance, dtype=np.float64)
         except (TypeError, ValueError) as exc:
@@ -127,52 +130,26 @@ class GaussianSpec:
         return self.mean.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class IncrementMatrix:
-    """Matrix of squared L2 increments g[i,j] = E (V_i - V_j)^2.
-
-    Symmetric, zero diagonal, nonnegative.  sqrt(g) is a pseudometric on the
-    coordinates (checked statistically in the test suite, not on every
-    construction).
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        g = np.asarray(self.entries, dtype=np.float64)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise DimensionMismatch(f"entries must be square, got shape {g.shape}")
-        if not np.isfinite(g).all():
-            raise InvalidInput("increment entries must be finite")
-        if not np.array_equal(g, g.T):
-            raise NotSymmetric("increment matrix is not exactly symmetric")
-        if np.any(np.diagonal(g) != 0.0):
-            raise InvalidInput("increment matrix must have an exactly zero diagonal")
-        if np.any(g < 0.0):
-            raise InvalidInput("increment entries must be nonnegative")
-        object.__setattr__(self, "entries", _as_readonly(g))
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
 def validate_spec(mean, covariance) -> GaussianSpec:
     """Build a GaussianSpec: every check, clamp and factorization is the constructor's."""
     return GaussianSpec(mean, covariance)
 
 
-def increment_matrix(spec: GaussianSpec) -> IncrementMatrix:
-    """Increment matrix g[i,j] = cov[i,i]+cov[j,j]-2cov[i,j]+(mu_i-mu_j)^2.
+def increment_matrix(spec: GaussianSpec) -> np.ndarray:
+    """Read-only increment matrix g[i,j] = cov[i,i]+cov[j,j]-2cov[i,j]+(mu_i-mu_j)^2.
 
-    For a valid spec this is nonnegative up to rounding; entries that round
-    to tiny negatives are clamped to zero so the type invariant holds.
+    Symmetric with a zero diagonal by construction (every term is symmetric in
+    floating point, and the diagonal is 2d_i - 2d_i + 0).  Entries that round
+    to tiny negatives are clamped to zero; InvalidInput if any overflows.
     """
     cov = spec.covariance
     mu = spec.mean
     d = np.diagonal(cov)
-    g = d[:, None] + d[None, :] - 2.0 * cov + (mu[:, None] - mu[None, :]) ** 2
-    return IncrementMatrix(np.maximum(g, 0.0))
+    g = np.maximum(d[:, None] + d[None, :] - 2.0 * cov + (mu[:, None] - mu[None, :]) ** 2, 0.0)
+    if not np.isfinite(g).all():
+        raise InvalidInput("increment entries must be finite: the law's scale overflows float64")
+    g.setflags(write=False)
+    return g
 
 
 def _is_diagonal(a: np.ndarray) -> bool:

@@ -90,7 +90,7 @@ def phi_derivative(
         raise DomainError(f"t must lie strictly inside (0, 1), got {t}")
     if samples < 2:
         raise InvalidInput(f"samples must be >= 2, got {samples}")
-    diff = increment_matrix(spec_y).entries - increment_matrix(spec_x).entries
+    diff = increment_matrix(spec_y) - increment_matrix(spec_x)
     quarter_beta = params.beta / 4.0
     h = min(t, 1.0 - t, FD_STEP_CAP) / 2.0
 

@@ -10,13 +10,12 @@ from sudfer import (
     DegenerateN,
     DimensionMismatch,
     DomainError,
-    IncrementMatrix,
+    InvalidInput,
     beta_tradeoff_bound,
     certify,
-    check_domination,
-    gamma_discrepancy,
     increment_matrix,
     optimal_beta,
+    random_spec,
     sf_bound,
     validate_spec,
 )
@@ -30,43 +29,47 @@ def zero_spec(n):
     return validate_spec(np.zeros(n), np.zeros((n, n)))
 
 
-def hand_increment(entries):
-    return IncrementMatrix(np.asarray(entries, dtype=np.float64))
+def mean_law(mean):
+    # Zero covariance: the increments are the squared mean gaps (mu_i - mu_j)^2.
+    return validate_spec(mean, np.zeros((len(mean), len(mean))))
+
+
+def random_law(rng, n):
+    a = rng.standard_normal((n, n))
+    return validate_spec(np.zeros(n), (a @ a.T + (a @ a.T).T) / 2.0)
 
 
 class TestGammaDiscrepancy:
     def test_identical_increments(self):
-        g = increment_matrix(iid_spec(3))
-        assert gamma_discrepancy(g, g) == 0.0
+        spec = iid_spec(3)
+        assert certify(spec, spec).gamma == 0.0
 
     def test_iid_vs_zero_law_is_two(self):
         # Off-diagonal increments: 2 for independent unit-variance
         # coordinates, 0 for the constant law.
         for n in (2, 5, 16):
-            gx = increment_matrix(iid_spec(n))
-            gy = increment_matrix(zero_spec(n))
-            assert gamma_discrepancy(gx, gy) == 2.0
+            assert certify(iid_spec(n), zero_spec(n)).gamma == 2.0
 
     def test_single_entry_difference(self):
-        a = np.zeros((4, 4))
-        b = np.zeros((4, 4))
-        b[1, 3] = b[3, 1] = 0.7
-        assert gamma_discrepancy(hand_increment(a), hand_increment(b)) == 0.7
+        # 4 I has every off-diagonal increment 8; a covariance of -0.25 between
+        # coordinates 1 and 3 raises that one increment to 8.5.
+        cov = 4.0 * np.eye(4)
+        cov[1, 3] = cov[3, 1] = -0.25
+        x = validate_spec(np.zeros(4), 4.0 * np.eye(4))
+        y = validate_spec(np.zeros(4), cov)
+        assert np.count_nonzero(increment_matrix(y) - increment_matrix(x)) == 2
+        assert certify(x, y).gamma == 0.5
 
     def test_symmetry_in_arguments(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             n = int(rng.integers(2, 7))
-            a = rng.standard_normal((n, n))
-            x = validate_spec(np.zeros(n), (a @ a.T + (a @ a.T).T) / 2.0)
-            b = rng.standard_normal((n, n))
-            y = validate_spec(np.zeros(n), (b @ b.T + (b @ b.T).T) / 2.0)
-            gx, gy = increment_matrix(x), increment_matrix(y)
-            assert gamma_discrepancy(gx, gy) == gamma_discrepancy(gy, gx)
+            x, y = random_law(rng, n), random_law(rng, n)
+            assert certify(x, y).gamma == certify(y, x).gamma
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            gamma_discrepancy(increment_matrix(iid_spec(2)), increment_matrix(iid_spec(3)))
+            certify(zero_spec(2), iid_spec(3))
 
 
 class TestSfBound:
@@ -141,32 +144,38 @@ class TestOptimalBeta:
 
 class TestCheckDomination:
     def test_equal_matrices(self):
-        g = increment_matrix(iid_spec(3))
-        assert check_domination(g, g) == (True, True)
+        spec = iid_spec(3)
+        cert = certify(spec, spec)
+        assert (cert.dominates_xy, cert.dominates_yx) == (True, True)
 
     def test_zero_law_dominated_by_iid(self):
-        g_zero = increment_matrix(zero_spec(4))
-        g_iid = increment_matrix(iid_spec(4))
-        assert check_domination(g_zero, g_iid) == (True, False)
-        assert check_domination(g_iid, g_zero) == (False, True)
+        forward = certify(zero_spec(4), iid_spec(4))
+        backward = certify(iid_spec(4), zero_spec(4))
+        assert (forward.dominates_xy, forward.dominates_yx) == (True, False)
+        assert (backward.dominates_xy, backward.dominates_yx) == (False, True)
 
     def test_incomparable_pair(self):
-        a = np.zeros((3, 3))
-        b = np.zeros((3, 3))
-        a[0, 1] = a[1, 0] = 1.0
-        b[0, 2] = b[2, 0] = 1.0
-        assert check_domination(hand_increment(a), hand_increment(b)) == (False, False)
+        # Increments 1 on (0,1) and (1,2) against 1 on (0,2) and (1,2).
+        cert = certify(mean_law([0.0, 1.0, 0.0]), mean_law([0.0, 0.0, 1.0]))
+        assert (cert.dominates_xy, cert.dominates_yx) == (False, False)
+        assert cert.gamma == 1.0
 
     def test_mutual_domination_means_equality(self):
+        # A common mean shift keeps the increments equal up to rounding, and an
+        # unrelated law changes them: the flags hold together exactly when the
+        # two increment matrices are bitwise equal.
         rng = np.random.default_rng(19)
-        for _ in range(30):
+        for k in range(30):
             n = int(rng.integers(2, 6))
-            a = rng.standard_normal((n, n))
-            x = validate_spec(np.zeros(n), (a @ a.T + (a @ a.T).T) / 2.0)
-            gx = increment_matrix(x)
-            gy = increment_matrix(x)
-            xy, yx = check_domination(gx, gy)
-            assert (xy and yx) == bool(np.array_equal(gx.entries, gy.entries))
+            x = validate_spec(rng.standard_normal(n), random_law(rng, n).covariance)
+            if k % 2:
+                y = random_law(rng, n)
+            else:
+                y = validate_spec(x.mean + float(rng.uniform(0.5, 3.0)), x.covariance)
+            cert = certify(x, y)
+            assert (cert.dominates_xy and cert.dominates_yx) == bool(
+                np.array_equal(increment_matrix(x), increment_matrix(y))
+            )
 
 
 class TestCertify:
@@ -218,3 +227,32 @@ class TestCertify:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             certify(iid_spec(2), iid_spec(3))
+
+    def test_overflowing_increments_are_invalid_input(self):
+        # A valid law whose variances near 1e308 make d_i + d_j overflow.
+        huge = validate_spec(np.zeros(2), np.diag([1e308, 1e308]))
+        with pytest.raises(InvalidInput):
+            certify(huge, zero_spec(2))
+
+    def test_matches_increment_matrix_sweep(self):
+        # gamma and both flags, against numpy on the two increment matrices,
+        # over random generators, unequal means, zero laws and x = y.
+        rng = np.random.default_rng(31)
+        generators = ("wishart", "equicorrelated", "diagonal")
+        flags = set()
+        for k in range(400):
+            n = int(rng.integers(1, 9))
+            x, y = (random_spec(n, int(rng.integers(2**32)), generators[(k + j) % 3]) for j in (0, 1))
+            if k % 4 == 1:
+                y = validate_spec(rng.standard_normal(n), y.covariance)
+            elif k % 4 == 2:
+                y = zero_spec(n)
+            elif k % 4 == 3:
+                y = x
+            gx, gy = increment_matrix(x), increment_matrix(y)
+            cert = certify(x, y)
+            assert cert.gamma == float(np.max(np.abs(gx - gy)))
+            assert cert.dominates_xy == bool(np.all(gx <= gy))
+            assert cert.dominates_yx == bool(np.all(gy <= gx))
+            flags.add((cert.dominates_xy, cert.dominates_yx))
+        assert flags == {(True, True), (True, False), (False, True), (False, False)}

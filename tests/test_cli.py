@@ -58,6 +58,15 @@ class TestConfigAssembly:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "config.json" in err
 
+    def test_deeply_nested_config_is_a_clean_error(self, tmp_path, capsys):
+        # Nesting past the recursion limit makes json.load raise RecursionError.
+        path = tmp_path / "deep.json"
+        path.write_text('{"n": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["bound-check", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "deep.json" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "field, value",
         [

@@ -13,7 +13,6 @@ from sudfer import (
     certify,
     derive_seed,
     dominated_pair,
-    increment_matrix,
     optimal_beta,
     phi,
     phi_derivative,
@@ -26,7 +25,7 @@ from sudfer import (
     spec_from_document,
     validate_spec,
 )
-from sudfer.bounds import check_domination, gamma_discrepancy
+from sudfer import gaussian
 from sudfer.gaussian import SHARD_ROWS
 from sudfer.reports import render_json
 
@@ -85,9 +84,19 @@ class TestDominatedPair:
     def test_increments_dominated_entrywise(self):
         for seed in range(10):
             x, y = dominated_pair(5, seed=seed, generator="wishart")
-            xy, _ = check_domination(increment_matrix(x), increment_matrix(y))
-            assert xy
-            assert certify(x, y).means_equal
+            cert = certify(x, y)
+            assert cert.dominates_xy
+            assert cert.means_equal
+
+    def test_factors_only_the_two_laws(self, monkeypatch):
+        # The noise is a covariance, not a law: it is never factored.
+        calls = []
+        factor = gaussian._factor
+        monkeypatch.setattr(gaussian, "_factor", lambda *args: calls.append(1) or factor(*args))
+        for generator in ("wishart", "equicorrelated", "diagonal"):
+            calls.clear()
+            dominated_pair(6, seed=3, generator=generator)
+            assert len(calls) == 2
 
 
 class TestExperimentConfig:
@@ -250,8 +259,7 @@ class TestRunPathDiagnostics:
         # trial seed reconstructs.
         for trial in (0, 1):
             x, y = dominated_pair(4, derive_seed(9, trial), "wishart")
-            gamma = gamma_discrepancy(increment_matrix(x), increment_matrix(y))
-            expect = optimal_beta(gamma, 4)
+            expect = optimal_beta(certify(x, y).gamma, 4)
             for record in report.records:
                 if record["trial"] == trial:
                     assert record["beta"] == expect

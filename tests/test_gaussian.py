@@ -10,7 +10,6 @@ from sudfer import (
     DimensionMismatch,
     DomainError,
     GaussianSpec,
-    IncrementMatrix,
     InvalidInput,
     MeanMismatch,
     NotPSD,
@@ -57,6 +56,11 @@ class TestValidateSpec:
             validate_spec([0.0, np.nan], np.eye(2))
         with pytest.raises(InvalidInput):
             validate_spec([0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]])
+        # Complex input is rejected, never truncated to its real part.
+        with pytest.raises(InvalidInput):
+            validate_spec([0.0], np.array([[1.0 + 2.0j]]))
+        with pytest.raises(InvalidInput):
+            validate_spec(np.array([1.0j, 0.0]), np.eye(2))
 
     def test_rejects_indefinite_covariance(self):
         # The constructor makes the PSD decision, so a raw spec is checked too.
@@ -99,15 +103,15 @@ class TestIncrementMatrix:
         # Zero covariance, means (0, 1): the only increment is the mean gap.
         spec = validate_spec([0.0, 1.0], np.zeros((2, 2)))
         g = increment_matrix(spec)
-        assert g.entries[0, 1] == 1.0
-        assert g.entries[1, 0] == 1.0
-        assert g.entries[0, 0] == 0.0 and g.entries[1, 1] == 0.0
+        assert g[0, 1] == 1.0
+        assert g[1, 0] == 1.0
+        assert g[0, 0] == 0.0 and g[1, 1] == 0.0
 
     def test_matches_monte_carlo_second_moments(self):
         # E (V_i - V_j)^2 straight from a big sample batch.
         rng = np.random.default_rng(11)
         spec = random_psd_spec(rng, 4)
-        g = increment_matrix(spec).entries
+        g = increment_matrix(spec)
         draws = sample(spec, 10**6, seed=902)
         for i in range(4):
             for j in range(4):
@@ -121,7 +125,7 @@ class TestIncrementMatrix:
         rng = np.random.default_rng(23)
         for _ in range(120):
             n = int(rng.integers(1, 9))
-            g = increment_matrix(random_psd_spec(rng, n)).entries
+            g = increment_matrix(random_psd_spec(rng, n))
             assert np.array_equal(g, g.T)
             assert np.all(np.diagonal(g) == 0.0)
             assert np.all(g >= 0.0)
@@ -129,13 +133,12 @@ class TestIncrementMatrix:
             pairwise = d[:, None, :] + d.T[None, :, :]  # [i, j, k] = d_ik + d_kj
             assert np.all(d[:, :, None] <= pairwise + 1e-12)
 
-    def test_type_rejects_broken_matrices(self):
-        with pytest.raises(NotSymmetric):
-            IncrementMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
-        with pytest.raises(InvalidInput):
-            IncrementMatrix(np.array([[0.1, 1.0], [1.0, 0.0]]))
-        with pytest.raises(InvalidInput):
-            IncrementMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+    def test_returns_read_only_array(self):
+        g = increment_matrix(validate_spec([0.0, 1.0], np.eye(2)))
+        assert type(g) is np.ndarray and g.dtype == np.float64
+        assert not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[0, 1] = 7.0
 
 
 class TestSample:

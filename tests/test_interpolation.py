@@ -226,7 +226,7 @@ class TestPhiDerivative:
         x, y = self.pair()
         params, t, seed = SmoothMaxParams(1.5), 0.3, 951
         p = softmax(sample(blended_spec(x, y, t), self.SAMPLES, seed), params)
-        diff = increment_matrix(y).entries - increment_matrix(x).entries
+        diff = increment_matrix(y) - increment_matrix(x)
         expected = estimate_from_values(params.beta / 4.0 * ((p @ diff) * p).sum(axis=1), seed)
         assert phi_derivative(x, y, params, t, self.SAMPLES, seed).explicit == expected
 
