@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGamma, DegenerateN, DimensionMismatch, DomainError
-from .gaussian import GaussianSpec, increment_matrix, means_equal
+from .gaussian import GaussianSpec, _increments, means_equal
 
 
 @dataclass(frozen=True)
@@ -86,18 +86,24 @@ def certify(spec_x: GaussianSpec, spec_y: GaussianSpec) -> BoundCertificate:
     """
     if spec_x.n != spec_y.n:
         raise DimensionMismatch(f"dimensions differ: {spec_x.n} vs {spec_y.n}")
-    diff = increment_matrix(spec_y) - increment_matrix(spec_x)
-    gamma = float(np.max(np.abs(diff)))
     n = spec_x.n
+    # Row panels of about 4 MiB; a max and an all() over panels are exact reductions.
+    gamma, dominates_xy, dominates_yx = 0.0, True, True
+    panel = max(1, 2**19 // n)
+    for lo in range(0, n, panel):
+        diff = _increments(spec_y, lo, lo + panel) - _increments(spec_x, lo, lo + panel)
+        gamma = max(gamma, float(np.max(np.abs(diff))))
+        # Exact, no tolerance on purpose: slack would silently weaken the theorem's
+        # hypothesis.  Callers with noisy increments add explicit slack upstream.
+        dominates_xy = dominates_xy and bool(np.all(diff >= 0.0))
+        dominates_yx = dominates_yx and bool(np.all(diff <= 0.0))
     beta_star = optimal_beta(gamma, n) if (gamma > 0 and n >= 2) else math.inf
     return BoundCertificate(
         n=n,
         gamma=gamma,
         bound=sf_bound(gamma, n),
         optimal_beta=beta_star,
-        # Exact, no tolerance on purpose: slack would silently weaken the theorem's
-        # hypothesis.  Callers with noisy increments add explicit slack upstream.
-        dominates_xy=bool(np.all(diff >= 0.0)),
-        dominates_yx=bool(np.all(diff <= 0.0)),
+        dominates_xy=dominates_xy,
+        dominates_yx=dominates_yx,
         means_equal=means_equal(spec_x, spec_y),
     )

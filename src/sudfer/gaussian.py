@@ -20,10 +20,13 @@ SeedSequence(seed, spawn_key=(k,)).  Worker count or chunked consumption can
 never change the result.  Laws of one dimension share the normals of a seed,
 so :func:`common_draw_values`, on which every Monte Carlo estimator is built,
 draws each shard once for a group of laws and keeps per-row reductions only.
-Every shard is drawn and transformed into the same two buffers, and each
-law's per-row values are written into one preallocated result.  Each law is
-checked and factored once, when its GaussianSpec is built, by one decomposition
-(:func:`_factor`); diagonal laws (the iid and zero laws) skip every O(n^3) step.
+Every shard is drawn into one buffer and transformed into a second, reused
+for each shard; the last diagonal law is transformed in place when no later
+law draws, so a call whose one drawing law is diagonal (the iid law) holds a
+single shard buffer.  Each law's per-row values are written into one
+preallocated result.  Each law is checked and factored once, when its
+GaussianSpec is built, by one decomposition (:func:`_factor`); diagonal laws
+(the iid and zero laws) skip every O(n^3) step.
 """
 
 from __future__ import annotations
@@ -142,13 +145,23 @@ def increment_matrix(spec: GaussianSpec) -> np.ndarray:
     floating point, and the diagonal is 2d_i - 2d_i + 0).  Entries that round
     to tiny negatives are clamped to zero; InvalidInput if any overflows.
     """
+    g = _increments(spec, 0, spec.n)
+    g.setflags(write=False)
+    return g
+
+
+def _increments(spec: GaussianSpec, lo: int, hi: int) -> np.ndarray:
+    """Rows [lo, hi) of the increment matrix, each entry from the one expression.
+
+    Overflow is reported once, by InvalidInput, not by numpy warnings.
+    """
     cov = spec.covariance
     mu = spec.mean
     d = np.diagonal(cov)
-    g = np.maximum(d[:, None] + d[None, :] - 2.0 * cov + (mu[:, None] - mu[None, :]) ** 2, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.maximum(d[lo:hi, None] + d[None, :] - 2.0 * cov[lo:hi] + (mu[lo:hi, None] - mu[None, :]) ** 2, 0.0)
     if not np.isfinite(g).all():
         raise InvalidInput("increment entries must be finite: the law's scale overflows float64")
-    g.setflags(write=False)
     return g
 
 
@@ -188,7 +201,8 @@ def _factor(cov: np.ndarray, diagonal: bool) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _transform(z: np.ndarray, factor: np.ndarray, mean: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # out = z @ factor.T + mean; a 1-d (diagonal) factor skips the matmul, with bitwise equal results.
+    # out = z @ factor.T + mean; a 1-d (diagonal) factor skips the matmul, with bitwise equal results,
+    # and may then transform z in place (out is z).
     if factor.ndim == 1:
         np.multiply(z, factor, out=out)
     else:
@@ -210,9 +224,10 @@ def common_draw_values(
     That result does not depend on the other laws: ``sample(spec, count, seed)``
     is ``common_draw_values([(spec, np.asarray)], count, seed)[0]``.  A law with
     an all-zero factor is its mean on every row and draws no normals.  Shards
-    are drawn into one buffer and transformed into another, shared by all laws:
-    ``reduce`` never sees z, and may modify its rows or return a view of them,
-    which the result copies.
+    are drawn into one buffer and transformed into another, shared by all laws;
+    the last diagonal law is transformed in place when no later law draws.
+    ``reduce`` may modify its rows or return a view of them, which the result
+    copies; neither reaches another law or shard.
     """
     if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
         raise InvalidInput(f"count must be an integer >= 1, got {count!r}")
@@ -221,17 +236,23 @@ def common_draw_values(
     if len(dimensions) != 1:
         raise DimensionMismatch(f"common draws need laws of one dimension, got dimensions {sorted(dimensions)}")
     (n,) = dimensions
-    drawn = [bool(spec.factor.any()) for spec, _ in laws]  # z * 0 + mean == mean: zero factors draw nothing
-    zbuf, rowbuf = (np.empty((min(SHARD_ROWS, count), n)) for _ in range(2))
+    # z * 0 + mean == mean: zero factors draw nothing.  The last law that draws overwrites z when its factor
+    # is diagonal (elementwise, same bits); the others are transformed into the row buffer, so z survives.
+    drawn = [j for j, (spec, _) in enumerate(laws) if spec.factor.any()]
+    in_place = drawn[-1] if drawn and laws[drawn[-1]][0].factor.ndim == 1 else None
+    shard = (min(SHARD_ROWS, count), n)
+    zbuf = np.empty(shard)
+    rowbuf = np.empty(shard) if len(drawn) > (in_place is not None) else None
     results: list[np.ndarray | None] = [None] * len(laws)
     for k, start in enumerate(range(0, count, SHARD_ROWS)):
         rows = min(SHARD_ROWS, count - start)
         z = zbuf[:rows]
-        if any(drawn):
+        if drawn:
             np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,))).standard_normal(out=z)
-        for j, ((spec, reduce), random) in enumerate(zip(laws, drawn)):
-            if random:
-                values = np.asarray(reduce(_transform(z, spec.factor, spec.mean, rowbuf[:rows])))
+        for j, (spec, reduce) in enumerate(laws):
+            if j in drawn:
+                out = z if j == in_place else rowbuf[:rows]
+                values = np.asarray(reduce(_transform(z, spec.factor, spec.mean, out)))
             else:
                 values = np.asarray(reduce(np.broadcast_to(spec.mean, (rows, n))))
             if results[j] is None and values.ndim > 0:

@@ -1,6 +1,7 @@
 """Discrepancy, the sqrt(gamma ln n) bound, tradeoff algebra, certificates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from sudfer import (
     InvalidInput,
     beta_tradeoff_bound,
     certify,
+    dominated_pair,
     increment_matrix,
     optimal_beta,
     random_spec,
@@ -256,3 +258,38 @@ class TestCertify:
             assert cert.dominates_yx == bool(np.all(gy <= gx))
             flags.add((cert.dominates_xy, cert.dominates_yx))
         assert flags == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_row_panels_match_the_whole_difference(self):
+        # n = 1500 spans several row panels with a partial last one; gamma and
+        # both flags must be the exact reductions of the one full difference.
+        pairs = []
+        for n in (1, 7, 1500):
+            x, y = dominated_pair(n, 40 + n, "wishart")
+            shifted = validate_spec(np.arange(n, dtype=float), y.covariance)
+            pairs += [(x, y), (y, x), (x, random_spec(n, 41 + n, "wishart")), (x, shifted), (x, zero_spec(n))]
+        certs = [certify(x, y) for x, y in pairs]
+        for (x, y), cert in zip(pairs, certs):
+            diff = increment_matrix(y) - increment_matrix(x)
+            assert cert.gamma == float(np.max(np.abs(diff)))
+            assert cert.dominates_xy == bool(np.all(diff >= 0.0))
+            assert cert.dominates_yx == bool(np.all(diff <= 0.0))
+        big = certs[-5:]
+        assert [(c.dominates_xy, c.dominates_yx) for c in big[:3]] == [(True, False), (False, True), (False, False)]
+        assert not big[3].means_equal
+        # The one nonzero entry of gY - gX lies in the last, partial panel.
+        cov = 4.0 * np.eye(1500)
+        cov[-2, -1] = cov[-1, -2] = -0.25
+        cert = certify(validate_spec(np.zeros(1500), 4.0 * np.eye(1500)), validate_spec(np.zeros(1500), cov))
+        assert (cert.gamma, cert.dominates_xy, cert.dominates_yx) == (0.5, True, False)
+
+    def test_peaks_below_one_square_array(self):
+        n = 2048
+        x, y = iid_spec(n), zero_spec(n)
+        tracemalloc.start()
+        try:
+            cert = certify(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cert.gamma == 2.0 and cert.dominates_yx
+        assert peak < n * n * 8

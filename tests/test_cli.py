@@ -1,6 +1,10 @@
 """Command-line behavior: flag parsing, config overrides, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +191,19 @@ class TestExitCodes:
         assert main(["bound-check", "--config", "/does/not/exist.json"]) == 1
         err = capsys.readouterr().err
         assert "error:" in err
+
+    def test_overflowing_law_prints_only_its_error_line(self, tmp_path):
+        # Run as a process with warnings shown: no numpy RuntimeWarning may
+        # precede the error line.
+        doc = {"samples": 2000, "trials": 1, "spec_x": {"mean": [0.0, 0.0], "covariance": [[1e308, 0.0], [0.0, 1e308]]}}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="default")
+        argv = [sys.executable, "-m", "sudfer.cli", "bound-check", "--generator", "explicit", "--config", str(path)]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: increment entries must be finite: the law's scale overflows float64\n"
 
     def test_csv_output(self, tmp_path):
         out = tmp_path / "report.csv"

@@ -272,6 +272,64 @@ class TestCommonDrawValues:
         assert rows.shape == (count, n)
         assert peak <= (count + 2 * SHARD_ROWS) * n * 8 + 2**20
 
+    def test_in_place_diagonal_laws_keep_their_bits(self):
+        # The last law that draws is transformed in z itself when it is
+        # diagonal; every law must still equal its own sample and, for
+        # diagonal laws, a reference built shard by shard outside the package.
+        rng = np.random.default_rng(12)
+        n, count, seed = 5, SHARD_ROWS + 257, 13
+        dense = random_psd_spec(rng, n)
+        diag = validate_spec(rng.standard_normal(n), np.diag([0.5, 1.0, 2.0, 4.0, 8.0]))
+        other = validate_spec(rng.standard_normal(n), np.diag([3.0, 0.25, 1.0, 9.0, 0.5]))
+        zero = validate_spec(rng.standard_normal(n), np.zeros((n, n)))
+
+        def reference(spec):
+            shards = []
+            for k, start in enumerate(range(0, count, SHARD_ROWS)):
+                rows = min(SHARD_ROWS, count - start)
+                z = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))).standard_normal((rows, n))
+                shards.append(z * np.sqrt(np.diagonal(spec.covariance)) + spec.mean)
+            return np.concatenate(shards)
+
+        for order in ([diag], [dense, diag], [diag, dense], [diag, zero], [zero, diag, other]):
+            values = common_draw_values([(spec, np.asarray) for spec in order], count, seed)
+            for spec, rows in zip(order, values):
+                assert np.array_equal(rows, sample(spec, count, seed))
+                if spec is diag or spec is other:
+                    assert np.array_equal(rows, reference(spec))
+                if spec is zero:
+                    assert np.all(rows == spec.mean)
+
+    def test_a_reduction_that_overwrites_the_in_place_rows_leaves_the_rest_alone(self):
+        rng = np.random.default_rng(14)
+        dense = random_psd_spec(rng, 3)
+        diag = validate_spec(np.ones(3), np.diag([1.0, 2.0, 3.0]))
+        zero = validate_spec([1.0, 2.0, 3.0], np.zeros((3, 3)))
+
+        def spoil(rows):
+            total = rows.sum(axis=1)
+            rows[...] = np.nan
+            return total
+
+        count = 2 * SHARD_ROWS + 257
+        before, totals, after = common_draw_values([(dense, np.asarray), (diag, spoil), (zero, np.asarray)], count, 15)
+        assert np.array_equal(before, sample(dense, count, seed=15))
+        assert np.array_equal(totals, sample(diag, count, seed=15).sum(axis=1))
+        assert np.all(after == zero.mean)
+
+    def test_expected_max_of_the_iid_law_peaks_at_one_shard_buffer(self):
+        # The identity law is the only law that draws, so it is transformed
+        # in the z buffer and no row buffer is allocated.
+        n, count = 1024, 2 * SHARD_ROWS
+        spec = validate_spec(np.zeros(n), np.eye(n))
+        tracemalloc.start()
+        try:
+            expected_max_mc(spec, count, seed=16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= SHARD_ROWS * n * 8 + count * 8 + 2**20
+
     def test_a_reduction_must_return_one_entry_per_row(self):
         spec = validate_spec(np.zeros(2), np.eye(2))
         for reduce in (lambda rows: rows.sum(), lambda rows: rows[1:], lambda rows: rows.T):
