@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGamma, DegenerateN, DimensionMismatch, DomainError
-from .gaussian import GaussianSpec, _increments, means_equal
+from .gaussian import GaussianSpec, _increments, _panel_rows, means_equal
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def certify(spec_x: GaussianSpec, spec_y: GaussianSpec) -> BoundCertificate:
     n = spec_x.n
     # Row panels of about 4 MiB; a max and an all() over panels are exact reductions.
     gamma, dominates_xy, dominates_yx = 0.0, True, True
-    panel = max(1, 2**19 // n)
+    panel = _panel_rows(n)
     for lo in range(0, n, panel):
         diff = _increments(spec_y, lo, lo + panel) - _increments(spec_x, lo, lo + panel)
         gamma = max(gamma, float(np.max(np.abs(diff))))

@@ -20,11 +20,11 @@ SeedSequence(seed, spawn_key=(k,)).  Worker count or chunked consumption can
 never change the result.  Laws of one dimension share the normals of a seed,
 so :func:`common_draw_values`, on which every Monte Carlo estimator is built,
 draws each shard once for a group of laws and keeps per-row reductions only.
-Every shard is drawn into one buffer and transformed into a second, reused
-for each shard; the last diagonal law is transformed in place when no later
-law draws, so a call whose one drawing law is diagonal (the iid law) holds a
-single shard buffer.  Each law's per-row values are written into one
-preallocated result.  Each law is checked and factored once, when its
+A shard is drawn in row blocks of about 4 MiB, or whole when a dense law
+draws, into one buffer and transformed into a second, both reused; the last
+diagonal law is transformed in place when no later law draws, so the iid law
+holds one 4 MiB buffer whatever n is.  Per-row values go into one result per
+law, preallocated.  Each law is checked and factored once, when its
 GaussianSpec is built, by one decomposition (:func:`_factor`); diagonal laws
 (the iid and zero laws) skip every O(n^3) step.
 """
@@ -200,6 +200,11 @@ def _factor(cov: np.ndarray, diagonal: bool) -> tuple[np.ndarray, np.ndarray]:
     return cov, (np.diagonal(factor).copy() if _is_diagonal(factor) else factor)
 
 
+def _panel_rows(n: int) -> int:
+    """Rows of an n-column float64 panel of about 4 MiB, at most one shard."""
+    return min(SHARD_ROWS, max(1, 2**19 // n))
+
+
 def _transform(z: np.ndarray, factor: np.ndarray, mean: np.ndarray, out: np.ndarray) -> np.ndarray:
     # out = z @ factor.T + mean; a 1-d (diagonal) factor skips the matmul, with bitwise equal results,
     # and may then transform z in place (out is z).
@@ -217,17 +222,19 @@ def common_draw_values(
     """Per-row values of several laws evaluated on common standard normals.
 
     ``laws`` is a sequence of ``(spec, reduce)`` pairs of one dimension, and
-    ``count`` an integer.  Shard k (rows [k*SHARD_ROWS, ...)) draws z once from
-    the substream derived from (seed, k) and transforms it by each law's factor
-    in turn; ``reduce`` returns one entry per row, with the same trailing shape
-    on every shard (else InvalidInput), kept in law j's preallocated result.
+    ``count`` an integer.  Shard k (rows [k*SHARD_ROWS, ...)) draws z from the
+    one generator derived from (seed, k), in consecutive row blocks, each
+    transformed by each law's factor in turn; ``reduce`` returns one entry per
+    row, with the same trailing shape on every block (else InvalidInput), kept
+    in law j's preallocated result.  Blocks hold about 4 MiB unless a law with
+    a dense (2-d) factor draws: a product's last bits depend on its row count.
     That result does not depend on the other laws: ``sample(spec, count, seed)``
     is ``common_draw_values([(spec, np.asarray)], count, seed)[0]``.  A law with
-    an all-zero factor is its mean on every row and draws no normals.  Shards
+    an all-zero factor is its mean on every row and draws no normals.  Blocks
     are drawn into one buffer and transformed into another, shared by all laws;
     the last diagonal law is transformed in place when no later law draws.
     ``reduce`` may modify its rows or return a view of them, which the result
-    copies; neither reaches another law or shard.
+    copies; neither reaches another law or block.
     """
     if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
         raise InvalidInput(f"count must be an integer >= 1, got {count!r}")
@@ -236,30 +243,33 @@ def common_draw_values(
     if len(dimensions) != 1:
         raise DimensionMismatch(f"common draws need laws of one dimension, got dimensions {sorted(dimensions)}")
     (n,) = dimensions
-    # z * 0 + mean == mean: zero factors draw nothing.  The last law that draws overwrites z when its factor
-    # is diagonal (elementwise, same bits); the others are transformed into the row buffer, so z survives.
+    # z * 0 + mean == mean: zero factors draw nothing; the row buffer holds their mean.  The last law that draws
+    # overwrites z when its factor is diagonal (elementwise, same bits); the others use the row buffer, so z survives.
     drawn = [j for j, (spec, _) in enumerate(laws) if spec.factor.any()]
     in_place = drawn[-1] if drawn and laws[drawn[-1]][0].factor.ndim == 1 else None
-    shard = (min(SHARD_ROWS, count), n)
-    zbuf = np.empty(shard)
-    rowbuf = np.empty(shard) if len(drawn) > (in_place is not None) else None
+    block = SHARD_ROWS if any(laws[j][0].factor.ndim == 2 for j in drawn) else _panel_rows(n)
+    zbuf = np.empty((min(block, count), n))
+    rowbuf = np.empty_like(zbuf) if len(laws) > (in_place is not None) else None
     results: list[np.ndarray | None] = [None] * len(laws)
-    for k, start in enumerate(range(0, count, SHARD_ROWS)):
-        rows = min(SHARD_ROWS, count - start)
-        z = zbuf[:rows]
-        if drawn:
-            np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,))).standard_normal(out=z)
-        for j, (spec, reduce) in enumerate(laws):
-            if j in drawn:
+    for k, first in enumerate(range(0, count, SHARD_ROWS)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,))) if drawn else None
+        for start in range(first, min(first + SHARD_ROWS, count), block):
+            rows = min(block, count - start, first + SHARD_ROWS - start)
+            z = zbuf[:rows]
+            if drawn:
+                rng.standard_normal(out=z)
+            for j, (spec, reduce) in enumerate(laws):
                 out = z if j == in_place else rowbuf[:rows]
-                values = np.asarray(reduce(_transform(z, spec.factor, spec.mean, out)))
-            else:
-                values = np.asarray(reduce(np.broadcast_to(spec.mean, (rows, n))))
-            if results[j] is None and values.ndim > 0:
-                results[j] = np.empty((count,) + values.shape[1:], values.dtype)
-            if results[j] is None or values.shape != (rows,) + results[j].shape[1:]:
-                raise InvalidInput(f"reduce must return one entry per row ({rows}), got shape {values.shape}")
-            results[j][start : start + rows] = values
+                if j in drawn:
+                    _transform(z, spec.factor, spec.mean, out)
+                else:
+                    out[...] = spec.mean
+                values = np.asarray(reduce(out))
+                if results[j] is None and values.ndim > 0:
+                    results[j] = np.empty((count,) + values.shape[1:], values.dtype)
+                if results[j] is None or values.shape != (rows,) + results[j].shape[1:]:
+                    raise InvalidInput(f"reduce must return one entry per row ({rows}), got shape {values.shape}")
+                results[j][start : start + rows] = values
     return results
 
 

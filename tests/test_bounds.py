@@ -1,7 +1,6 @@
 """Discrepancy, the sqrt(gamma ln n) bound, tradeoff algebra, certificates."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,14 +281,9 @@ class TestCertify:
         cert = certify(validate_spec(np.zeros(1500), 4.0 * np.eye(1500)), validate_spec(np.zeros(1500), cov))
         assert (cert.gamma, cert.dominates_xy, cert.dominates_yx) == (0.5, True, False)
 
-    def test_peaks_below_one_square_array(self):
+    def test_peaks_below_one_square_array(self, traced_peak):
         n = 2048
         x, y = iid_spec(n), zero_spec(n)
-        tracemalloc.start()
-        try:
-            cert = certify(x, y)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        cert, peak = traced_peak(lambda: certify(x, y))
         assert cert.gamma == 2.0 and cert.dominates_yx
         assert peak < n * n * 8

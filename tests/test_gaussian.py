@@ -1,7 +1,6 @@
 """Gaussian law plumbing: validation, increments, sampling, blending."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +249,12 @@ class TestCommonDrawValues:
         count = SHARD_ROWS + 257
         _, values = common_draw_values([(first, spoil), (second, np.asarray)], count, seed=10)
         assert np.array_equal(values, sample(second, count, seed=10))
+        # A zero law's rows are a private copy of its mean, so they may be written too.
+        zero = validate_spec([1.0, 2.0, 3.0], np.zeros((3, 3)))
+        totals, values, rows = common_draw_values([(zero, spoil), (second, np.asarray), (zero, np.asarray)], count, 10)
+        assert np.all(totals == 6.0)
+        assert np.array_equal(values, sample(second, count, seed=10))
+        assert np.all(rows == zero.mean)
 
     def test_consecutive_samples_do_not_share_memory(self):
         spec = validate_spec(np.zeros(2), np.eye(2))
@@ -258,29 +263,28 @@ class TestCommonDrawValues:
         assert not np.shares_memory(a, b)
         assert not np.array_equal(a, b)
 
-    def test_sample_peaks_at_its_result_plus_two_shard_buffers(self):
+    def test_sample_peaks_at_its_result_plus_two_shard_buffers(self, traced_peak):
         # Each shard is drawn into z, transformed into the row buffer and
         # written straight into the one (count x n) result.
         n, count = 256, 4 * SHARD_ROWS
         spec = validate_spec(np.zeros(n), np.eye(n))
-        tracemalloc.start()
-        try:
-            rows = sample(spec, count, seed=11)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        rows, peak = traced_peak(lambda: sample(spec, count, seed=11))
         assert rows.shape == (count, n)
         assert peak <= (count + 2 * SHARD_ROWS) * n * 8 + 2**20
 
     def test_in_place_diagonal_laws_keep_their_bits(self):
         # The last law that draws is transformed in z itself when it is
-        # diagonal; every law must still equal its own sample and, for
-        # diagonal laws, a reference built shard by shard outside the package.
+        # diagonal.  With only diagonal laws drawing, a shard is drawn in
+        # blocks of about 4 MiB: at n = 100, 5242 rows, so a full shard splits
+        # 5242 + 2950.  The blocks are one generator's consecutive fills, so
+        # every law must still equal its own sample and a reference built
+        # whole shard by whole shard outside the package.  A dense law's
+        # product keeps whole-shard blocks: its last bits depend on the rows.
         rng = np.random.default_rng(12)
-        n, count, seed = 5, SHARD_ROWS + 257, 13
+        n, count, seed = 100, SHARD_ROWS + 257, 13
         dense = random_psd_spec(rng, n)
-        diag = validate_spec(rng.standard_normal(n), np.diag([0.5, 1.0, 2.0, 4.0, 8.0]))
-        other = validate_spec(rng.standard_normal(n), np.diag([3.0, 0.25, 1.0, 9.0, 0.5]))
+        diag = validate_spec(rng.standard_normal(n), np.diag(rng.uniform(0.1, 8.0, n)))
+        other = validate_spec(rng.standard_normal(n), np.diag(rng.uniform(0.1, 8.0, n)))
         zero = validate_spec(rng.standard_normal(n), np.zeros((n, n)))
 
         def reference(spec):
@@ -288,17 +292,28 @@ class TestCommonDrawValues:
             for k, start in enumerate(range(0, count, SHARD_ROWS)):
                 rows = min(SHARD_ROWS, count - start)
                 z = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))).standard_normal((rows, n))
-                shards.append(z * np.sqrt(np.diagonal(spec.covariance)) + spec.mean)
-            return np.concatenate(shards)
+                shards.append(z @ spec.factor.T if spec is dense else z * np.sqrt(np.diagonal(spec.covariance)))
+            return np.concatenate(shards) + spec.mean
 
-        for order in ([diag], [dense, diag], [diag, dense], [diag, zero], [zero, diag, other]):
-            values = common_draw_values([(spec, np.asarray) for spec in order], count, seed)
+        sub_blocks, whole = [5242, 2950, 257], [SHARD_ROWS, 257]
+        for order, blocks in (
+            ([diag], sub_blocks),
+            ([dense, diag], whole),
+            ([diag, dense], whole),
+            ([diag, zero], sub_blocks),
+            ([zero, diag, other], sub_blocks),
+        ):
+            shapes = []
+
+            def record(rows):
+                shapes.append(rows.shape)
+                return rows
+
+            values = common_draw_values([(spec, record) for spec in order], count, seed)
+            assert shapes == [(rows, n) for rows in blocks for _ in order]
             for spec, rows in zip(order, values):
                 assert np.array_equal(rows, sample(spec, count, seed))
-                if spec is diag or spec is other:
-                    assert np.array_equal(rows, reference(spec))
-                if spec is zero:
-                    assert np.all(rows == spec.mean)
+                assert np.array_equal(rows, np.broadcast_to(spec.mean, rows.shape) if spec is zero else reference(spec))
 
     def test_a_reduction_that_overwrites_the_in_place_rows_leaves_the_rest_alone(self):
         rng = np.random.default_rng(14)
@@ -317,18 +332,24 @@ class TestCommonDrawValues:
         assert np.array_equal(totals, sample(diag, count, seed=15).sum(axis=1))
         assert np.all(after == zero.mean)
 
-    def test_expected_max_of_the_iid_law_peaks_at_one_shard_buffer(self):
-        # The identity law is the only law that draws, so it is transformed
-        # in the z buffer and no row buffer is allocated.
+    def test_expected_max_of_the_iid_law_peaks_at_one_block_buffer(self, traced_peak):
+        # The identity law is the only law that draws, so it is drawn in
+        # blocks of about 4 MiB, transformed in the z buffer, and no row
+        # buffer is allocated.
         n, count = 1024, 2 * SHARD_ROWS
         spec = validate_spec(np.zeros(n), np.eye(n))
-        tracemalloc.start()
-        try:
-            expected_max_mc(spec, count, seed=16)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= SHARD_ROWS * n * 8 + count * 8 + 2**20
+        _, peak = traced_peak(lambda: expected_max_mc(spec, count, seed=16))
+        assert peak <= 2**22 + count * 8 + 2**20
+
+    def test_expected_max_of_the_iid_law_holds_memory_flat_in_n(self, traced_peak):
+        count = 20_000
+        expected_max_mc(validate_spec(np.zeros(64), np.eye(64)), 2, seed=17)  # first-call allocations
+        peaks = []
+        for n in (1024, 2048, 4096):
+            spec = validate_spec(np.zeros(n), np.eye(n))
+            _, peak = traced_peak(lambda: expected_max_mc(spec, count, seed=17))
+            peaks.append(peak)
+        assert max(peaks) <= 1.1 * min(peaks), peaks
 
     def test_a_reduction_must_return_one_entry_per_row(self):
         spec = validate_spec(np.zeros(2), np.eye(2))
