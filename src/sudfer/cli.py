@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=GENERATORS,
         help="random covariance family (explicit reads spec_x/spec_y from --config)",
     )
-    parser.add_argument("--output", metavar="PATH", help="report destination ('-' for stdout)")
+    parser.add_argument("--output", dest="output_path", metavar="PATH", help="report destination ('-' for stdout)")
     parser.add_argument("--format", choices=FORMATS, help="report format")
     return parser
 
@@ -97,26 +97,13 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         with open(args.config, "r", encoding="utf-8") as handle:
             try:
                 loaded = json.load(handle)
-            except (json.JSONDecodeError, RecursionError) as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
                 raise SudferError(f"config file {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise SudferError(f"config file must hold a JSON object, got {type(loaded).__name__}")
         doc.update(loaded)
-    doc["experiment"] = args.experiment
-    overrides = {
-        "n": args.n,
-        "samples": args.samples,
-        "seed": args.seed,
-        "beta": args.beta,
-        "grid": args.grid,
-        "trials": args.trials,
-        "generator": args.generator,
-        "output_path": args.output,
-        "format": args.format,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            doc[key] = value
+    # Every flag's destination is the config field it sets.
+    doc.update((key, value) for key, value in vars(args).items() if key != "config" and value is not None)
     known = set(ExperimentConfig.__dataclass_fields__)
     unknown = set(doc) - known
     if unknown:

@@ -1,9 +1,9 @@
 """Monte Carlo estimation of E max for Gaussian vectors, with a 2-d oracle.
 
-Every stochastic output is an MCEstimate: value, CLT standard error, sample
-count, seed.  Draws go through gaussian.common_draw_values, which reduces each
-shard to one value per row as soon as it is transformed, so large
-(samples x n) products never have to fit in memory at once.
+Every stochastic output is an MCEstimate: a value and its CLT standard error.
+Draws go through gaussian.common_draw_values, which reduces each shard to one
+value per row as soon as it is transformed, so large (samples x n) products
+never have to fit in memory at once.
 
 For n = 2 there is a closed form.  With d = mu1 - mu2 and
 theta^2 = Var(V1 - V2) = cov[0,0] + cov[1,1] - 2*cov[0,1],
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput
-from .gaussian import GaussianSpec, check_seed, common_draw_values, derive_seed
+from .gaussian import GaussianSpec, common_draw_values, derive_seed
 
 
 @dataclass(frozen=True)
@@ -31,29 +31,18 @@ class MCEstimate:
 
     value: float
     stderr: float
-    samples: int
-    seed: int
 
     def __post_init__(self) -> None:
-        if self.samples < 2:
-            raise InvalidInput(f"samples must be >= 2, got {self.samples}")
         if not (self.stderr >= 0.0):
             raise InvalidInput(f"stderr must be >= 0, got {self.stderr}")
-        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
-def estimate_from_values(values: np.ndarray, seed: int) -> MCEstimate:
+def estimate_from_values(values: np.ndarray) -> MCEstimate:
     """Reduce per-draw values to (mean, sd/sqrt(N)).  Needs N >= 2."""
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.shape[0] < 2:
         raise InvalidInput("need a 1-d array of at least two per-draw values")
-    n = v.shape[0]
-    return MCEstimate(
-        value=float(v.mean()),
-        stderr=float(v.std(ddof=1) / math.sqrt(n)),
-        samples=n,
-        seed=check_seed(seed),
-    )
+    return MCEstimate(value=float(v.mean()), stderr=float(v.std(ddof=1) / math.sqrt(v.shape[0])))
 
 
 def expected_max_mc(spec: GaussianSpec, samples: int, seed: int) -> MCEstimate:
@@ -62,7 +51,7 @@ def expected_max_mc(spec: GaussianSpec, samples: int, seed: int) -> MCEstimate:
     if samples < 2:
         raise InvalidInput(f"samples must be >= 2, got {samples}")
     (maxima,) = common_draw_values([(spec, lambda rows: rows.max(axis=1))], samples, seed)
-    return estimate_from_values(maxima, seed)
+    return estimate_from_values(maxima)
 
 
 def _phi(z: float) -> float:
@@ -102,7 +91,4 @@ def empirical_gap(
     """
     est_x = expected_max_mc(spec_x, samples, derive_seed(seed, 0))
     est_y = expected_max_mc(spec_y, samples, derive_seed(seed, 1))
-    value = est_x.value - est_y.value
-    stderr = math.hypot(est_x.stderr, est_y.stderr)
-    gap = MCEstimate(value=value, stderr=stderr, samples=samples, seed=check_seed(seed))
-    return est_x, est_y, gap
+    return est_x, est_y, MCEstimate(est_x.value - est_y.value, math.hypot(est_x.stderr, est_y.stderr))

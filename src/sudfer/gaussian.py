@@ -248,8 +248,9 @@ def common_draw_values(
     drawn = [j for j, (spec, _) in enumerate(laws) if spec.factor.any()]
     in_place = drawn[-1] if drawn and laws[drawn[-1]][0].factor.ndim == 1 else None
     block = SHARD_ROWS if any(laws[j][0].factor.ndim == 2 for j in drawn) else _panel_rows(n)
-    zbuf = np.empty((min(block, count), n))
-    rowbuf = np.empty_like(zbuf) if len(laws) > (in_place is not None) else None
+    shape = (min(block, count), n)
+    zbuf = np.empty(shape if drawn else (0, n))
+    rowbuf = np.empty(shape) if len(laws) > (in_place is not None) else None
     results: list[np.ndarray | None] = [None] * len(laws)
     for k, first in enumerate(range(0, count, SHARD_ROWS)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,))) if drawn else None

@@ -63,7 +63,7 @@ def phi(
         raise InvalidInput(f"samples must be >= 2, got {samples}")
     law = blended_spec(spec_x, spec_y, t)
     (values,) = common_draw_values([(law, partial(smooth_max, params=params))], samples, seed)
-    return estimate_from_values(values, seed)
+    return estimate_from_values(values)
 
 
 def phi_derivative(
@@ -109,8 +109,8 @@ def phi_derivative(
         seed,
     )
     return DerivativeEstimate(
-        explicit=estimate_from_values(explicit, seed),
-        finite_difference=estimate_from_values((upper - lower) / (2.0 * h), seed),
+        explicit=estimate_from_values(explicit),
+        finite_difference=estimate_from_values((upper - lower) / (2.0 * h)),
     )
 
 
@@ -160,5 +160,5 @@ def stein_residuals(
 ) -> list[MCEstimate]:
     """Residual estimates for every coordinate, from one shared batch."""
     values = stein_residual_values(spec, params, samples, seed, functional, gradient)
-    return [estimate_from_values(values[:, i], seed) for i in range(spec.n)]
+    return [estimate_from_values(values[:, i]) for i in range(spec.n)]
 

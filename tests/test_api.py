@@ -1,6 +1,6 @@
-"""Source-level checks in place of a linter: no unused imports in the
-package, ``sudfer.__all__`` lists exactly the public names, and the
-benchmark tracer's layers name functions that exist."""
+"""Source-level checks in place of a linter: no unused imports or private
+helpers in the package, ``sudfer.__all__`` lists exactly the public names,
+and the benchmark tracer's layers name functions that exist."""
 
 import ast
 import importlib
@@ -35,6 +35,34 @@ def used_names(tree):
 def test_no_module_imports_a_name_it_never_uses(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert sorted(set(imported_names(tree)) - used_names(tree)) == []
+
+
+def private_definitions(tree):
+    """Private names the module binds at top level (dunder names excepted)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_private_name_is_read_in_the_package():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    orphans = [
+        f"{module}:{name}" for module, tree in trees.items() for name in private_definitions(tree) if name not in read
+    ]
+    assert orphans == []
 
 
 def test_all_lists_exactly_the_public_names():

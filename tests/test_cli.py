@@ -71,6 +71,13 @@ class TestConfigAssembly:
         assert err.startswith("error:") and "deep.json" in err
         assert "Traceback" not in err
 
+    def test_non_utf8_config_is_a_clean_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"n": 4, "samples": 2000\xff}')
+        assert main(["bound-check", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bad.json" in err
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -87,6 +94,7 @@ class TestConfigAssembly:
             ("grid", 0.5),
             ("grid", [0.5, None]),
             ("grid", [0.5, 10**400]),
+            ("n", []),
         ],
     )
     def test_malformed_numbers_are_config_errors(self, tmp_path, capsys, field, value):

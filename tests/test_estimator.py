@@ -34,22 +34,20 @@ def random_2d_spec(rng, with_mean=True):
 
 class TestMCEstimate:
     def test_field_validation(self):
-        est = MCEstimate(value=1.0, stderr=0.1, samples=100, seed=3)
-        assert est.samples == 100
+        est = MCEstimate(value=1.0, stderr=0.1)
+        assert (est.value, est.stderr) == (1.0, 0.1)
         with pytest.raises(InvalidInput):
-            MCEstimate(value=0.0, stderr=0.1, samples=1, seed=3)
+            MCEstimate(value=0.0, stderr=-0.1)
         with pytest.raises(InvalidInput):
-            MCEstimate(value=0.0, stderr=-0.1, samples=10, seed=3)
-        with pytest.raises(InvalidInput):
-            MCEstimate(value=0.0, stderr=0.1, samples=10, seed=-1)
+            MCEstimate(value=0.0, stderr=math.nan)
 
     def test_estimate_from_values(self):
         values = np.array([1.0, 2.0, 3.0, 4.0])
-        est = estimate_from_values(values, seed=0)
+        est = estimate_from_values(values)
         assert est.value == 2.5
         assert est.stderr == pytest.approx(values.std(ddof=1) / 2.0, abs=0)
         with pytest.raises(InvalidInput):
-            estimate_from_values(np.array([1.0]), seed=0)
+            estimate_from_values(np.array([1.0]))
 
 
 class TestExpectedMaxMC:

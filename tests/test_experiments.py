@@ -1,5 +1,6 @@
 """Spec generators, experiment configs, and the four canonical runners."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from sudfer import (
     spec_from_document,
     validate_spec,
 )
-from sudfer import gaussian
+from sudfer import experiments, gaussian
 from sudfer.gaussian import SHARD_ROWS
 from sudfer.reports import render_json
 
@@ -137,6 +138,11 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="bound-check", generator="explicit")
 
+    @pytest.mark.parametrize("experiment", experiments.EXPERIMENTS)
+    def test_empty_dimension_list_is_rejected(self, experiment):
+        with pytest.raises(ConfigError, match="n must hold at least one dimension"):
+            ExperimentConfig(experiment=experiment, n=[])
+
     def test_explicit_spec_parsing(self):
         doc = {"mean": [0.0, 0.0], "covariance": [[1.0, 0.0], [0.0, 1.0]]}
         spec = spec_from_document(doc)
@@ -221,6 +227,47 @@ class TestRunBoundCheck:
         ns = [record["n"] for record in report.records]
         assert ns == [2, 4, 8, 2, 4, 8, 2, 4, 8]
 
+    def test_unequal_means_skip_every_trial(self):
+        config = ExperimentConfig(
+            experiment="bound-check",
+            trials=3,
+            samples=2000,
+            seed=18,
+            generator="explicit",
+            spec_x={"mean": [0.0, 0.0], "covariance": [[1.0, 0.0], [0.0, 1.0]]},
+            spec_y={"mean": [1.0, 0.0], "covariance": [[1.0, 0.0], [0.0, 1.0]]},
+        )
+        report = run_bound_check(config)
+        assert [record["pass"] for record in report.records] == [None, None, None]
+        assert report.summary == {
+            "trials": 3,
+            "passes": 0,
+            "fails": 0,
+            "skipped_unequal_means": 3,
+            "max_violation_z": 0.0,
+            "pass": True,
+        }
+
+    def test_a_gap_past_the_bound_fails_the_run(self, monkeypatch):
+        # Trial 1's gap is pushed far past its bound: one fail, and the
+        # largest violation z is that record's.
+        calls = []
+        real = experiments.empirical_gap
+
+        def inflated(*args):
+            est_x, est_y, gap = real(*args)
+            calls.append(1)
+            return est_x, est_y, dataclasses.replace(gap, value=gap.value + 50.0 * (len(calls) == 2))
+
+        monkeypatch.setattr(experiments, "empirical_gap", inflated)
+        config = ExperimentConfig(experiment="bound-check", n=3, trials=3, samples=2000, seed=19)
+        report = run_bound_check(config)
+        assert [record["pass"] for record in report.records] == [True, False, True]
+        assert report.summary["passes"] == 2
+        assert report.summary["fails"] == 1
+        assert report.summary["max_violation_z"] == report.records[1]["z_score"] > 3.0
+        assert report.summary["pass"] is False
+
 
 class TestRunSharpness:
     def test_small_dimensions(self):
@@ -241,6 +288,19 @@ class TestRunSharpness:
     def test_rejects_degenerate_dimension(self):
         with pytest.raises(ConfigError):
             run_sharpness(ExperimentConfig(experiment="sharpness", n=1, samples=1000, seed=1))
+
+    def test_a_gap_past_the_bound_fails_the_run(self, monkeypatch):
+        real = experiments.empirical_gap
+
+        def inflated(*args):
+            est_x, est_y, gap = real(*args)
+            return est_x, est_y, dataclasses.replace(gap, value=gap.value + 50.0)
+
+        monkeypatch.setattr(experiments, "empirical_gap", inflated)
+        report = run_sharpness(ExperimentConfig(experiment="sharpness", n=[4, 16], samples=2000, seed=8))
+        assert [record["pass"] for record in report.records] == [False, False]
+        assert report.summary["ratios"] == [record["ratio"] for record in report.records]
+        assert report.summary["pass"] is False
 
 
 class TestRunPathDiagnostics:
@@ -342,6 +402,22 @@ class TestRunPathDiagnostics:
             endpoint["phi0_stderr"], endpoint["phi1_stderr"]
         )
 
+    def test_an_inconsistent_derivative_fails_the_run(self, monkeypatch):
+        real = experiments.phi_derivative
+
+        def shifted(*args):
+            point = real(*args)
+            explicit = dataclasses.replace(point.explicit, value=point.explicit.value + 100.0)
+            return dataclasses.replace(point, explicit=explicit)
+
+        monkeypatch.setattr(experiments, "phi_derivative", shifted)
+        config = ExperimentConfig(experiment="path-diagnostics", n=3, trials=1, samples=2000, seed=20, grid=(0.5,))
+        report = run_path_diagnostics(config)
+        (record,) = report.records
+        assert record["consistency_pass"] is False
+        assert record["sign_pass"] is True
+        assert report.summary["pass"] is False
+
     def test_endpoints_draw_their_normals_once(self, monkeypatch):
         draws = []
         default_rng = np.random.default_rng
@@ -375,6 +451,21 @@ class TestRunSteinCheck:
         assert report.summary["verdicts"] == 2 + 3 + 4 + 2 + 3 + 4
         assert report.summary["pass_rate"] >= 0.99
         assert report.summary["pass"] is True
+
+    def test_a_failing_residual_fails_the_run(self, monkeypatch):
+        real = experiments.stein_residuals
+
+        def shifted(*args):
+            first, *rest = real(*args)
+            return [dataclasses.replace(first, value=first.value + 50.0), *rest]
+
+        monkeypatch.setattr(experiments, "stein_residuals", shifted)
+        report = run_stein_check(ExperimentConfig(experiment="stein-check", n=2, trials=3, samples=2000, seed=21))
+        assert [record["pass"] for record in report.records] == [False, True] * 3
+        assert report.summary["verdicts"] == 6
+        assert report.summary["passes"] == 3
+        assert report.summary["pass_rate"] == 0.5
+        assert report.summary["pass"] is False
 
     def test_zero_variance_coordinates_are_exact(self):
         doc = {

@@ -341,6 +341,15 @@ class TestCommonDrawValues:
         _, peak = traced_peak(lambda: expected_max_mc(spec, count, seed=16))
         assert peak <= 2**22 + count * 8 + 2**20
 
+    def test_a_law_that_draws_nothing_allocates_no_z_block(self, traced_peak):
+        # The zero law is its mean on every row: one row block, no z block.
+        count = 2 * SHARD_ROWS
+        for n in (1024, 2048):
+            spec = validate_spec(np.zeros(n), np.zeros((n, n)))
+            estimate, peak = traced_peak(lambda: expected_max_mc(spec, count, seed=18))
+            assert (estimate.value, estimate.stderr) == (0.0, 0.0)
+            assert peak <= 2**22 + count * 8 + 2**20, n
+
     def test_expected_max_of_the_iid_law_holds_memory_flat_in_n(self, traced_peak):
         count = 20_000
         expected_max_mc(validate_spec(np.zeros(64), np.eye(64)), 2, seed=17)  # first-call allocations

@@ -91,7 +91,7 @@ class TestPhi:
         params = SmoothMaxParams(1.0)
         for t, spec in ((0.0, x), (1.0, y)):
             est = phi(x, y, params, t, 10_000, seed=17)
-            direct = estimate_from_values(smooth_max(sample(spec, 10_000, 17), params), 17)
+            direct = estimate_from_values(smooth_max(sample(spec, 10_000, 17), params))
             assert est.value == direct.value
             assert est.stderr == direct.stderr
 
@@ -227,7 +227,7 @@ class TestPhiDerivative:
         params, t, seed = SmoothMaxParams(1.5), 0.3, 951
         p = softmax(sample(blended_spec(x, y, t), self.SAMPLES, seed), params)
         diff = increment_matrix(y) - increment_matrix(x)
-        expected = estimate_from_values(params.beta / 4.0 * ((p @ diff) * p).sum(axis=1), seed)
+        expected = estimate_from_values(params.beta / 4.0 * ((p @ diff) * p).sum(axis=1))
         assert phi_derivative(x, y, params, t, self.SAMPLES, seed).explicit == expected
 
     def test_finite_difference_is_the_paired_smooth_max_difference_on_sample(self):
@@ -237,7 +237,7 @@ class TestPhiDerivative:
         upper, lower = (
             smooth_max(sample(blended_spec(x, y, s), self.SAMPLES, seed), params) for s in (t + h, t - h)
         )
-        expected = estimate_from_values((upper - lower) / (2.0 * h), seed)
+        expected = estimate_from_values((upper - lower) / (2.0 * h))
         assert phi_derivative(x, y, params, t, self.SAMPLES, seed).finite_difference == expected
 
     def test_report_points_are_phi_derivative_on_derived_seeds(self):
@@ -296,7 +296,7 @@ class TestSteinResiduals:
         values = stein_residual_values(spec, SmoothMaxParams(1.0), 5000, seed=79)
         assert len(full) == values.shape[1] == spec.n
         for i, est in enumerate(full):
-            assert est == estimate_from_values(values[:, i], 79)
+            assert est == estimate_from_values(values[:, i])
 
     def test_non_centered_laws_pass_every_coordinate(self):
         # The identity holds for any mean once V_i is centered at mu_i.
