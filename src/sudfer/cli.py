@@ -121,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
     except SudferError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0 if report.passed() else 2

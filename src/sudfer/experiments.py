@@ -28,7 +28,7 @@ from .estimator import empirical_gap, estimate_from_values
 from .gaussian import GaussianSpec, blended_spec, check_seed, common_draw_values, derive_seed, validate_spec
 from .interpolation import DEFAULT_GRID, phi_derivative, stein_residuals
 from .reports import ExperimentReport
-from .smoothmax import SmoothMaxParams, smooth_max
+from .smoothmax import SmoothMaxParams, _smooth_max_rows
 
 EXPERIMENTS = ("sharpness", "bound-check", "path-diagnostics", "stein-check")
 GENERATORS = ("wishart", "equicorrelated", "diagonal", "explicit")
@@ -405,7 +405,7 @@ def run_path_diagnostics(config: ExperimentConfig) -> ExperimentReport:
                 }
             )
         endpoint_seed = derive_seed(trial_seed, 3)
-        smooth = functools.partial(smooth_max, params=params)
+        smooth = functools.partial(_smooth_max_rows, params=params)
         laws = [(blended_spec(spec_x, spec_y, t), smooth) for t in (0.0, 1.0)]
         values = common_draw_values(laws, config.samples, endpoint_seed)
         phi0, phi1 = (estimate_from_values(v) for v in values)

@@ -18,6 +18,9 @@ experiments.run_path_diagnostics.
 
 Along the path only the factor applied to the standard normals changes with
 t, so each estimator is a reduction passed to gaussian.common_draw_values.
+The smooth max and softmax reductions of phi and phi_derivative overwrite
+the sample block they are handed (smoothmax's private row reductions), so
+a dense law holds no block-sized temporary beyond the integrand's product.
 Whenever two quantities are differenced (finite differences, the
 integration-by-parts residual), both sides are evaluated on common draws:
 variance reduction with no bias.
@@ -34,7 +37,7 @@ import numpy as np
 from .errors import DomainError, InvalidInput
 from .estimator import MCEstimate, estimate_from_values
 from .gaussian import GaussianSpec, blended_spec, common_draw_values, increment_matrix
-from .smoothmax import SmoothMaxParams, smooth_max, softmax
+from .smoothmax import SmoothMaxParams, _smooth_max_rows, _softmax_rows, smooth_max, softmax
 
 # Cap on the half-width of the central finite-difference step.
 FD_STEP_CAP = 1e-3
@@ -62,7 +65,7 @@ def phi(
     if samples < 2:
         raise InvalidInput(f"samples must be >= 2, got {samples}")
     law = blended_spec(spec_x, spec_y, t)
-    (values,) = common_draw_values([(law, partial(smooth_max, params=params))], samples, seed)
+    (values,) = common_draw_values([(law, partial(_smooth_max_rows, params=params))], samples, seed)
     return estimate_from_values(values)
 
 
@@ -95,10 +98,10 @@ def phi_derivative(
     h = min(t, 1.0 - t, FD_STEP_CAP) / 2.0
 
     def integrand(rows: np.ndarray) -> np.ndarray:
-        p = softmax(rows, params)
+        p = _softmax_rows(rows, params)
         return quarter_beta * ((p @ diff) * p).sum(axis=1)
 
-    smooth = partial(smooth_max, params=params)
+    smooth = partial(_smooth_max_rows, params=params)
     explicit, upper, lower = common_draw_values(
         [
             (blended_spec(spec_x, spec_y, t), integrand),
@@ -138,7 +141,7 @@ def stein_residual_values(
         raise InvalidInput(f"samples must be >= 2, got {samples}")
     if (functional is None) != (gradient is None):
         raise InvalidInput("functional and gradient must be overridden together")
-    if functional is None:
+    if functional is None:  # the public functions copy their input: residual reads its rows after both
         functional, gradient = partial(smooth_max, params=params), partial(softmax, params=params)
     cov = spec.covariance
 

@@ -16,7 +16,12 @@ overflow (large b times large spreads is the normal operating regime).
 
 All functions broadcast over leading axes: a (..., n) input is treated as a
 stack of vectors along the last axis.  Scalars and empty vectors are
-rejected with EmptyInput.
+rejected with EmptyInput, nan and +-inf entries with InvalidInput.  The
+public functions work on one private float64 copy and never write to their
+input.  The smart-path estimators reduce their sample blocks with the
+private row reductions, which overwrite the block they are handed instead
+of allocating block-sized temporaries; both paths run the same operations,
+so their results are bitwise equal.
 """
 
 from __future__ import annotations
@@ -43,27 +48,45 @@ class SmoothMaxParams:
 
 
 def _check_vectors(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
+    a = np.array(x, dtype=np.float64)  # always a private copy
     if a.ndim == 0 or a.shape[-1] == 0:
         raise EmptyInput("need at least one coordinate")
+    if not np.isfinite(a).all():
+        raise InvalidInput("entries must be finite: nan or inf has no smooth max")
     return a
+
+
+def _exp_shifted(a: np.ndarray, beta: float) -> np.ndarray:
+    """Overwrite a with exp(beta*(a - max)) along the last axis; return the max, keepdims."""
+    m = a.max(axis=-1, keepdims=True)
+    np.subtract(a, m, out=a)
+    np.multiply(beta, a, out=a)
+    np.exp(a, out=a)
+    return m
+
+
+def _smooth_max_rows(rows: np.ndarray, params: SmoothMaxParams) -> np.ndarray:
+    """smooth_max of finite float64 rows, overwriting them."""
+    m = _exp_shifted(rows, params.beta)
+    return m[..., 0] + np.log(rows.sum(axis=-1)) / params.beta
+
+
+def _softmax_rows(rows: np.ndarray, params: SmoothMaxParams) -> np.ndarray:
+    """softmax of finite float64 rows, computed in place and returned."""
+    _exp_shifted(rows, params.beta)
+    rows /= rows.sum(axis=-1, keepdims=True)
+    return rows
 
 
 def smooth_max(x, params: SmoothMaxParams):
     """F_b(x) = max(x) + log(sum exp(b*(x - max)))/b, along the last axis."""
-    a = _check_vectors(x)
-    b = params.beta
-    m = a.max(axis=-1)
-    s = np.exp(b * (a - m[..., None])).sum(axis=-1)
-    out = m + np.log(s) / b
+    out = _smooth_max_rows(_check_vectors(x), params)
     return float(out) if out.ndim == 0 else out
 
 
 def softmax(x, params: SmoothMaxParams):
     """p_i(x) = exp(b*x_i) / sum_j exp(b*x_j), max-subtracted: the gradient of F_b."""
-    a = _check_vectors(x)
-    e = np.exp(params.beta * (a - a.max(axis=-1, keepdims=True)))
-    return e / e.sum(axis=-1, keepdims=True)
+    return _softmax_rows(_check_vectors(x), params)
 
 
 def smooth_max_hessian(x, params: SmoothMaxParams):

@@ -200,6 +200,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error:" in err
 
+    def test_infeasible_sample_count_is_a_clean_error(self, capsys):
+        # numpy refuses the 711 PiB result at once, so nothing is allocated.
+        assert main(["sharpness", "--n", "4", "--samples", "100000000000000000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "allocate" in err
+
     def test_overflowing_law_prints_only_its_error_line(self, tmp_path):
         # Run as a process with warnings shown: no numpy RuntimeWarning may
         # precede the error line.

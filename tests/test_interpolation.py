@@ -257,6 +257,24 @@ class TestPhiDerivative:
             )
 
 
+class TestPathMemory:
+    # The reductions overwrite the block they are handed: a dense n=256 law
+    # holds the z block and the row block, and phi_derivative's integrand
+    # one more block for p @ diff.
+    N = 256
+    BLOCK = SHARD_ROWS * N * 8
+
+    def test_phi_peaks_at_two_blocks(self, traced_peak):
+        x, y = dominated_pair(self.N, seed=960, generator="wishart")
+        _, peak = traced_peak(lambda: phi(x, y, SmoothMaxParams(2.0), 0.5, 2 * SHARD_ROWS, 961))
+        assert peak <= 2 * self.BLOCK + 2**21
+
+    def test_phi_derivative_peaks_at_three_blocks(self, traced_peak):
+        x, y = dominated_pair(self.N, seed=960, generator="wishart")
+        _, peak = traced_peak(lambda: phi_derivative(x, y, SmoothMaxParams(2.0), 0.5, 2 * SHARD_ROWS, 962))
+        assert peak <= 3 * self.BLOCK + 2**23
+
+
 class TestSteinResiduals:
     def test_linear_functional_hook(self):
         # F(x) = x_j with constant gradient e_j: the identity reduces to

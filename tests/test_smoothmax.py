@@ -1,6 +1,7 @@
 """Smooth max calculus: values, softmax gradient, Hessian, sandwich slacks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from sudfer import (
     smooth_max_hessian,
     softmax,
 )
+from sudfer.gaussian import SHARD_ROWS
+from sudfer.smoothmax import _smooth_max_rows, _softmax_rows
 
 
 def random_inputs(rng, count, n_max=8, x_scale=1.0, beta_lo=0.5, beta_hi=2.0):
@@ -198,3 +201,59 @@ class TestScalingIdentities:
             vals = [smooth_max(x, SmoothMaxParams(float(b))) for b in betas]
             for lo, hi in zip(vals, vals[1:]):
                 assert hi <= lo + 1e-12
+
+
+class TestNonFiniteInput:
+    # nan and +-inf have no smooth max: each public function raises before
+    # any arithmetic, so no RuntimeWarning and no nan comes out.
+    @pytest.mark.parametrize("fn", [smooth_max, softmax, smooth_max_hessian, sandwich_gap])
+    @pytest.mark.parametrize(
+        "x", [[math.inf, 1.0], [-math.inf, -math.inf], [math.nan, 0.0], [[0.0, 1.0], [2.0, math.nan]]]
+    )
+    def test_rejected(self, fn, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput):
+                fn(x, SmoothMaxParams(1.0))
+
+
+class TestRowReductions:
+    # The private row reductions overwrite their block; they must equal the
+    # textbook expressions on a fresh copy bit for bit.
+    @staticmethod
+    def textbook(a, beta):
+        m = a.max(axis=-1)
+        e = np.exp(beta * (a - m[..., None]))
+        return m + np.log(e.sum(-1)) / beta, e / e.sum(-1, keepdims=True)
+
+    def assert_bitwise(self, a, beta):
+        params = SmoothMaxParams(beta)
+        value, p = self.textbook(a, beta)
+        rows = a.copy()
+        assert np.array_equal(_smooth_max_rows(rows, params), value)
+        rows = a.copy()
+        out = _softmax_rows(rows, params)
+        assert out is rows
+        assert np.array_equal(out, p)
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 40.0])
+    def test_shard_block(self, beta):
+        a = np.random.default_rng(79).standard_normal((SHARD_ROWS, 256))
+        self.assert_bitwise(a, beta)
+
+    def test_stacked_and_partial_blocks(self):
+        rng = np.random.default_rng(83)
+        self.assert_bitwise(rng.uniform(-3.0, 3.0, size=(3, 5, 7)), 1.7)
+        self.assert_bitwise(rng.standard_normal((257, 64)), 2.0)
+
+    def test_public_functions_leave_their_input_alone(self):
+        params = SmoothMaxParams(3.0)
+        a = np.random.default_rng(89).standard_normal((4, 6))
+        before = a.copy()
+        value, p = self.textbook(before, 3.0)
+        assert np.array_equal(smooth_max(a, params), value)
+        assert np.array_equal(softmax(a, params), p)
+        assert np.array_equal(a, before)
+        a.setflags(write=False)
+        assert np.array_equal(smooth_max(a, params), value)
+        assert np.array_equal(softmax(a, params), p)
