@@ -56,6 +56,7 @@ from .gaussian import (
     GaussianSpec,
     blended_spec,
     derive_seed,
+    iid_maxima,
     increment_matrix,
     sample,
     validate_spec,
@@ -110,6 +111,7 @@ __all__ = [
     "empirical_gap",
     "expected_max_bivariate_exact",
     "expected_max_mc",
+    "iid_maxima",
     "iid_standard_spec",
     "increment_matrix",
     "optimal_beta",

@@ -3,7 +3,10 @@
 Every stochastic output is an MCEstimate: a value and its CLT standard error.
 Draws go through gaussian.common_draw_values, which reduces each shard to one
 value per row as soon as it is transformed, so large (samples x n) products
-never have to fit in memory at once.
+never have to fit in memory at once.  The iid law, the sharpness experiment's
+worst case, skips the rows altogether: its maximum is drawn directly by
+gaussian.iid_maxima, one uniform per sample whatever n is, and the zero law's
+maximum is its mean.
 
 For n = 2 there is a closed form.  With d = mu1 - mu2 and
 theta^2 = Var(V1 - V2) = cov[0,0] + cov[1,1] - 2*cov[0,1],
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput
-from .gaussian import GaussianSpec, common_draw_values, derive_seed
+from .gaussian import GaussianSpec, check_count, check_seed, common_draw_values, derive_seed, iid_maxima
 
 
 @dataclass(frozen=True)
@@ -46,11 +49,24 @@ def estimate_from_values(values: np.ndarray) -> MCEstimate:
 
 
 def expected_max_mc(spec: GaussianSpec, samples: int, seed: int) -> MCEstimate:
-    """Monte Carlo estimate of E max_i V_i from rowwise maxima.
-    Deterministic per (spec, samples, seed)."""
+    """Monte Carlo estimate of E max_i V_i from one maximum per draw.
+    Deterministic per (spec, samples, seed).
+
+    An iid law (a 1-d factor of equal entries sigma, a constant mean mu) never
+    builds its rows: for sigma > 0 its maxima are mu + sigma * iid_maxima, one
+    uniform per draw; for sigma = 0 they are mu and nothing is drawn.  Every
+    other law reduces the rows of common_draw_values to their maxima.
+    """
     if samples < 2:
         raise InvalidInput(f"samples must be >= 2, got {samples}")
-    (maxima,) = common_draw_values([(spec, lambda rows: rows.max(axis=1))], samples, seed)
+    check_count(samples)
+    check_seed(seed)
+    factor, mean = spec.factor, spec.mean
+    if factor.ndim == 1 and factor.min() == factor.max() and mean.min() == mean.max():
+        mu, sigma = mean[0], factor[0]
+        maxima = (mu + sigma * iid_maxima(spec.n, samples, seed)) if sigma else np.full(samples, mu)
+    else:
+        (maxima,) = common_draw_values([(spec, lambda rows: rows.max(axis=1))], samples, seed)
     return estimate_from_values(maxima)
 
 

@@ -22,11 +22,15 @@ so :func:`common_draw_values`, on which every Monte Carlo estimator is built,
 draws each shard once for a group of laws and keeps per-row reductions only.
 A shard is drawn in row blocks of about 4 MiB, or whole when a dense law
 draws, into one buffer and transformed into a second, both reused; the last
-diagonal law is transformed in place when no later law draws, so the iid law
-holds one 4 MiB buffer whatever n is.  Per-row values go into one result per
-law, preallocated.  Each law is checked and factored once, when its
-GaussianSpec is built, by one decomposition (:func:`_factor`); diagonal laws
-(the iid and zero laws) skip every O(n^3) step.
+diagonal law is transformed in place when no later law draws, so a lone
+diagonal law holds one 4 MiB buffer whatever n is.  Per-row values go into
+one result per law, preallocated.  Each law is checked and factored once,
+when its GaussianSpec is built, by one decomposition (:func:`_factor`);
+diagonal laws (the iid and zero laws) skip every O(n^3) step.
+
+:func:`iid_maxima` draws the maximum of n iid standard normals without the
+vector: one uniform per draw, inverted through Phi^n with Wichura's AS241,
+from the same per-shard substreams, so its memory and time do not grow with n.
 """
 
 from __future__ import annotations
@@ -74,6 +78,13 @@ def check_seed(seed: int) -> int:
     if s != seed or not (0 <= s < _MAX_SEED):
         raise InvalidInput(f"seed must be an integer in [0, 2^64), got {seed!r}")
     return s
+
+
+def check_count(count: int) -> int:
+    """Validate a draw count: an integer >= 1 (a bool or a float is refused)."""
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+        raise InvalidInput(f"count must be an integer >= 1, got {count!r}")
+    return int(count)
 
 
 def derive_seed(seed: int, *path: int) -> int:
@@ -236,8 +247,7 @@ def common_draw_values(
     ``reduce`` may modify its rows or return a view of them, which the result
     copies; neither reaches another law or block.
     """
-    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-        raise InvalidInput(f"count must be an integer >= 1, got {count!r}")
+    check_count(count)
     check_seed(seed)
     dimensions = {spec.n for spec, _ in laws}
     if len(dimensions) != 1:
@@ -277,6 +287,72 @@ def common_draw_values(
 def sample(spec: GaussianSpec, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` iid rows as a (count x n) array.  Deterministic per (spec, count, seed)."""
     return common_draw_values([(spec, np.asarray)], count, seed)[0]
+
+
+# Wichura's AS241 (PPND16), Applied Statistics 37 (1988) 477-484: Phi^-1 by rational approximations, relative
+# error about 1e-16.  Each tuple lists a polynomial's coefficients from the constant term up.
+_PPND16_CENTRAL = (
+    (3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3, 1.3731693765509461125e4,
+     4.5921953931549871457e4, 6.7265770927008700853e4, 3.3430575583588128105e4, 2.5090809287301226727e3),
+    (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
+     2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4, 5.2264952788528545610e3),
+)
+_PPND16_NEAR_TAIL = (
+    (1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0, 3.64784832476320460504e0,
+     1.27045825245236838258e0, 2.41780725177450611770e-1, 2.27238449892691845833e-2, 7.74545014278341407640e-4),
+    (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
+     1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4, 1.05075007164441684324e-9),
+)
+_PPND16_FAR_TAIL = (
+    (6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0, 2.96560571828504891230e-1,
+     2.65321895265761230930e-2, 1.24266094738807843860e-3, 2.71155556874348757815e-5, 2.01033439929228813265e-7),
+    (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
+     7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7, 2.04426310338993978564e-15),
+)
+
+
+def _rational(coefficients: tuple[tuple[float, ...], tuple[float, ...]], r: np.ndarray) -> np.ndarray:
+    numerator = denominator = 0.0
+    for a, b in zip(*(reversed(c) for c in coefficients)):  # Horner's rule
+        numerator = numerator * r + a
+        denominator = denominator * r + b
+    return numerator / denominator
+
+
+def _ppnd16(p: np.ndarray) -> np.ndarray:
+    """Phi^-1(p) for p strictly inside (0, 1), entrywise (AS241)."""
+    q = p - 0.5
+    x = np.empty_like(q)
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    x[central] = qc * _rational(_PPND16_CENTRAL, 0.180625 - qc * qc)
+    tail = ~central
+    r = np.sqrt(-np.log(np.minimum(p[tail], 1.0 - p[tail])))  # 1 - p is exact where it is the smaller
+    x[tail] = np.copysign(
+        np.where(r <= 5.0, _rational(_PPND16_NEAR_TAIL, r - 1.6), _rational(_PPND16_FAR_TAIL, r - 5.0)), q[tail]
+    )
+    return x
+
+
+def iid_maxima(n: int, count: int, seed: int) -> np.ndarray:
+    """Maxima of ``count`` draws of n iid standard normals, one uniform each, never the n-vector.
+
+    The maximum has CDF Phi^n, so for a uniform U it is Phi^-1((1 - U)^(1/n)) = -Phi^-1(q), with upper tail
+    q = -expm1(log1p(-U)/n) computed without cancellation (inversion; Devroye, Non-Uniform Random Variate
+    Generation, 1986).  U is the midpoint of one of 2^52 equal cells, strictly inside (0, 1); with n up to 2^1000,
+    q stays positive and every maximum is finite.  Shard k draws its uniforms from the generator derived from
+    (seed, k), as ``common_draw_values`` draws its normals: prefixes agree and chunking cannot change the result.
+    """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not (1 <= n <= 2**1000):
+        raise InvalidInput(f"n must be an integer in [1, 2^1000], got {n!r}")
+    count = check_count(count)
+    check_seed(seed)
+    maxima = np.empty(count)
+    for k, first in enumerate(range(0, count, SHARD_ROWS)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+        u = (rng.integers(0, 2**52, min(SHARD_ROWS, count - first)) + 0.5) * 2.0**-52
+        maxima[first : first + len(u)] = -_ppnd16(-np.expm1(np.log1p(-u) / float(n)))
+    return maxima
 
 
 def means_equal(spec_x: GaussianSpec, spec_y: GaussianSpec) -> bool:

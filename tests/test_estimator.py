@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bivariate_expected_max_quad
+from oracles import bivariate_expected_max_quad, iid_expected_max_quad
 
 from sudfer import (
     DimensionMismatch,
@@ -21,6 +21,7 @@ from sudfer import (
     validate_spec,
 )
 from sudfer.estimator import estimate_from_values
+from sudfer.gaussian import SHARD_ROWS, common_draw_values, iid_maxima
 
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
@@ -84,6 +85,41 @@ class TestExpectedMaxMC:
         b = expected_max_mc(shifted, 10**4, seed=14)
         assert b.value - a.value == pytest.approx(c, abs=1e-10)
         assert b.stderr == pytest.approx(a.stderr, abs=1e-10)
+
+
+class TestIidShortcut:
+    def test_iid_maxima_match_the_order_statistic_oracle(self):
+        for n in (16, 4096, 2**40):
+            est = estimate_from_values(iid_maxima(n, 10**6, seed=51))
+            assert abs(est.value - iid_expected_max_quad(n)) <= 4.0 * est.stderr, n
+
+    def test_an_iid_law_draws_its_maxima_directly(self):
+        spec = validate_spec(np.full(3, 2.5), 4.0 * np.eye(3))
+        count = SHARD_ROWS + 3
+        expected = estimate_from_values(2.5 + 2.0 * iid_maxima(3, count, seed=52))
+        assert expected_max_mc(spec, count, seed=52) == expected
+
+    def test_a_constant_law_draws_nothing_and_keeps_its_estimate(self, monkeypatch):
+        spec = validate_spec(np.full(5, 1.5), np.zeros((5, 5)))
+        (rows,) = common_draw_values([(spec, lambda rows: rows.max(axis=1))], 1000, seed=53)
+        monkeypatch.setattr(np.random, "default_rng", None)  # any draw would fail
+        est = expected_max_mc(spec, 1000, seed=53)
+        assert (est.value, est.stderr) == (1.5, 0.0)
+        assert est == estimate_from_values(rows)
+
+    def test_other_diagonal_laws_reduce_their_rows(self):
+        for mean, cov in (([0.0, 1.0], np.eye(2)), (np.zeros(2), np.diag([1.0, 2.0])), ([0.0, 1.0], np.zeros((2, 2)))):
+            spec = validate_spec(mean, cov)
+            (maxima,) = common_draw_values([(spec, lambda rows: rows.max(axis=1))], 1000, seed=54)
+            assert expected_max_mc(spec, 1000, seed=54) == estimate_from_values(maxima)
+
+    def test_arguments_are_checked_before_the_shortcut(self):
+        for spec in (validate_spec([0.0], [[1.0]]), validate_spec([0.0], [[0.0]])):
+            for samples in (100.0, True, 1):
+                with pytest.raises(InvalidInput):
+                    expected_max_mc(spec, samples, seed=1)
+            with pytest.raises(InvalidInput):
+                expected_max_mc(spec, 100, seed=-1)
 
 
 class TestBivariateClosedForm:

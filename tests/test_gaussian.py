@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from sudfer import (
     DimensionMismatch,
@@ -23,6 +24,10 @@ from sudfer import (
 from sudfer import gaussian
 from sudfer.experiments import ExperimentConfig, run_bound_check, run_sharpness
 from sudfer.gaussian import PSD_RTOL, SHARD_ROWS, check_seed, common_draw_values, means_equal
+
+
+def row_max(rows):
+    return rows.max(axis=1)
 
 
 def random_psd_spec(rng, n):
@@ -332,13 +337,16 @@ class TestCommonDrawValues:
         assert np.array_equal(totals, sample(diag, count, seed=15).sum(axis=1))
         assert np.all(after == zero.mean)
 
-    def test_expected_max_of_the_iid_law_peaks_at_one_block_buffer(self, traced_peak):
+    # expected_max_mc draws the iid and zero laws' maxima without rows, so the
+    # three block-path memory tests below reduce rows to their maxima directly.
+
+    def test_row_maxima_of_the_iid_law_peak_at_one_block_buffer(self, traced_peak):
         # The identity law is the only law that draws, so it is drawn in
         # blocks of about 4 MiB, transformed in the z buffer, and no row
         # buffer is allocated.
         n, count = 1024, 2 * SHARD_ROWS
         spec = validate_spec(np.zeros(n), np.eye(n))
-        _, peak = traced_peak(lambda: expected_max_mc(spec, count, seed=16))
+        _, peak = traced_peak(lambda: common_draw_values([(spec, row_max)], count, seed=16))
         assert peak <= 2**22 + count * 8 + 2**20
 
     def test_a_law_that_draws_nothing_allocates_no_z_block(self, traced_peak):
@@ -346,19 +354,27 @@ class TestCommonDrawValues:
         count = 2 * SHARD_ROWS
         for n in (1024, 2048):
             spec = validate_spec(np.zeros(n), np.zeros((n, n)))
-            estimate, peak = traced_peak(lambda: expected_max_mc(spec, count, seed=18))
-            assert (estimate.value, estimate.stderr) == (0.0, 0.0)
+            (maxima,), peak = traced_peak(lambda: common_draw_values([(spec, row_max)], count, seed=18))
+            assert (maxima == 0.0).all()
             assert peak <= 2**22 + count * 8 + 2**20, n
 
-    def test_expected_max_of_the_iid_law_holds_memory_flat_in_n(self, traced_peak):
+    def test_row_maxima_of_the_iid_law_hold_memory_flat_in_n(self, traced_peak):
         count = 20_000
-        expected_max_mc(validate_spec(np.zeros(64), np.eye(64)), 2, seed=17)  # first-call allocations
+        common_draw_values([(validate_spec(np.zeros(64), np.eye(64)), row_max)], 2, seed=17)  # first-call allocations
         peaks = []
         for n in (1024, 2048, 4096):
             spec = validate_spec(np.zeros(n), np.eye(n))
-            _, peak = traced_peak(lambda: expected_max_mc(spec, count, seed=17))
+            _, peak = traced_peak(lambda: common_draw_values([(spec, row_max)], count, seed=17))
             peaks.append(peak)
         assert max(peaks) <= 1.1 * min(peaks), peaks
+
+    def test_expected_max_of_the_iid_law_allocates_no_row_block(self, traced_peak):
+        # One 4096-wide row block would take 4 MiB, 32 times count * 8 bytes;
+        # the maxima drawn directly take a few count-long arrays.
+        count = 2 * SHARD_ROWS
+        spec = validate_spec(np.zeros(4096), np.eye(4096))
+        _, peak = traced_peak(lambda: expected_max_mc(spec, count, seed=16))
+        assert peak <= 8 * count * 8
 
     def test_a_reduction_must_return_one_entry_per_row(self):
         spec = validate_spec(np.zeros(2), np.eye(2))
@@ -472,6 +488,55 @@ class TestLawObject:
         sample(spec, 200, seed=2)
         expected_max_mc(spec, 100, seed=3)
         assert len(calls) == 1
+
+
+class TestIidMaxima:
+    def test_quantile_port_matches_scipy(self):
+        # (1e-300, 1/2], dense near both ends, with both branch boundaries
+        # (|p - 1/2| = 0.425, i.e. p = 0.075, and r = 5, i.e. p = exp(-25))
+        # approached from each side.
+        p = np.concatenate(
+            [
+                np.logspace(-300, np.log10(0.5), 20_001),
+                np.linspace(0.05, 0.5, 20_001),
+                np.nextafter([0.075, math.exp(-25.0)], 0.0),
+                np.nextafter([0.075, math.exp(-25.0)], 1.0),
+            ]
+        )
+        np.testing.assert_allclose(-gaussian._ppnd16(p), -ndtri(p), rtol=1e-14, atol=0.0)
+        upper = 1.0 - p[p >= 2.0**-53]  # the upper half (0.5, 1); both functions see the same rounded 1 - p
+        np.testing.assert_allclose(gaussian._ppnd16(upper), ndtri(upper), rtol=1e-14, atol=0.0)
+
+    def test_extreme_uniforms_give_finite_maxima(self, monkeypatch):
+        class Extremes:
+            def integers(self, low, high, size):
+                return np.resize([low, high - 1], size)  # the smallest and the largest cell
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Extremes())
+        for n in (1, 2, 4096, 2**40, 2**1000):
+            largest, smallest = gaussian.iid_maxima(n, 2, seed=1)
+            assert math.isfinite(smallest) and math.isfinite(largest) and smallest < largest, n
+        extreme = 2.0**-53  # U = 2^-53 and 1 - 2^-53: at n = 1 the maximum is one normal
+        assert np.allclose(gaussian.iid_maxima(1, 2, seed=1), [-ndtri(extreme), ndtri(extreme)], rtol=1e-14, atol=0)
+
+    def test_prefixes_agree_and_seeds_differ(self):
+        count = 1000
+        for n in (1, 16, 2**40):
+            longer = gaussian.iid_maxima(n, count + SHARD_ROWS + 1, seed=41)
+            assert np.array_equal(gaussian.iid_maxima(n, count, seed=41), longer[:count])
+            assert np.array_equal(gaussian.iid_maxima(n, SHARD_ROWS + 1, seed=41), longer[: SHARD_ROWS + 1])
+            assert not np.array_equal(gaussian.iid_maxima(n, count, seed=42), longer[:count])
+
+    def test_rejects_bad_arguments(self):
+        for n in (0, -1, 2**1000 + 1, 2.0, True):
+            with pytest.raises(InvalidInput):
+                gaussian.iid_maxima(n, 10, seed=1)
+        for count in (0, 10.0, True):
+            with pytest.raises(InvalidInput):
+                gaussian.iid_maxima(4, count, seed=1)
+        with pytest.raises(InvalidInput):
+            gaussian.iid_maxima(4, 10, seed=-1)
+        assert gaussian.iid_maxima(np.int64(4), np.int64(3), seed=1).shape == (3,)
 
 
 class TestMeansEqual:
