@@ -1,12 +1,12 @@
 """Monte Carlo estimation of E max for Gaussian vectors, with a 2-d oracle.
 
 Every stochastic output is an MCEstimate: a value and its CLT standard error.
-Draws go through gaussian.common_draw_values, which reduces each shard to one
-value per row as soon as it is transformed, so large (samples x n) products
-never have to fit in memory at once.  The iid law, the sharpness experiment's
-worst case, skips the rows altogether: its maximum is drawn directly by
-gaussian.iid_maxima, one uniform per sample whatever n is, and the zero law's
-maximum is its mean.
+Per-draw maxima come from one primitive for one law or a pair: one call of
+gaussian.common_draw_values, which reduces each shard to one value per row as
+soon as it is transformed, so (samples x n) products never sit in memory.
+iid laws skip the rows: one gaussian.iid_maxima draw serves them, one uniform
+per sample whatever n is, and the zero law's maximum is its mean.  The gap of
+empirical_gap is paired: X and Y share draws, its stderr is the differences'.
 
 For n = 2 there is a closed form.  With d = mu1 - mu2 and
 theta^2 = Var(V1 - V2) = cov[0,0] + cov[1,1] - 2*cov[0,1],
@@ -48,26 +48,28 @@ def estimate_from_values(values: np.ndarray) -> MCEstimate:
     return MCEstimate(value=float(v.mean()), stderr=float(v.std(ddof=1) / math.sqrt(v.shape[0])))
 
 
-def expected_max_mc(spec: GaussianSpec, samples: int, seed: int) -> MCEstimate:
-    """Monte Carlo estimate of E max_i V_i from one maximum per draw.
-    Deterministic per (spec, samples, seed).
+def _maxima(specs: list[GaussianSpec], samples: int, seed: int) -> list[np.ndarray]:
+    """Per-draw maxima of laws of one dimension, all from ``seed``, so they are coupled draw by draw.
 
-    An iid law (a 1-d factor of equal entries sigma, a constant mean mu) never
-    builds its rows: for sigma > 0 its maxima are mu + sigma * iid_maxima, one
-    uniform per draw; for sigma = 0 they are mu and nothing is drawn.  Every
-    other law reduces the rows of common_draw_values to their maxima.
+    If every law is iid (a 1-d factor of equal entries sigma, a constant mean mu), no rows are built: the maxima
+    are mu + sigma * M for one M = iid_maxima(n, samples, seed), or mu (nothing drawn) where sigma = 0.  Else every
+    law reduces the rows of one common_draw_values call: uniforms and normals never share a substream.
     """
     if samples < 2:
         raise InvalidInput(f"samples must be >= 2, got {samples}")
     check_count(samples)
     check_seed(seed)
-    factor, mean = spec.factor, spec.mean
-    if factor.ndim == 1 and factor.min() == factor.max() and mean.min() == mean.max():
-        mu, sigma = mean[0], factor[0]
-        maxima = (mu + sigma * iid_maxima(spec.n, samples, seed)) if sigma else np.full(samples, mu)
-    else:
-        (maxima,) = common_draw_values([(spec, lambda rows: rows.max(axis=1))], samples, seed)
-    return estimate_from_values(maxima)
+    if len({spec.n for spec in specs}) != 1:
+        raise DimensionMismatch(f"laws of one dimension needed, got dimensions {[spec.n for spec in specs]}")
+    if all(s.factor.ndim == 1 and s.factor.min() == s.factor.max() and s.mean.min() == s.mean.max() for s in specs):
+        m = iid_maxima(specs[0].n, samples, seed) if any(s.factor[0] for s in specs) else None
+        return [s.mean[0] + s.factor[0] * m if s.factor[0] else np.full(samples, s.mean[0]) for s in specs]
+    return common_draw_values([(s, lambda rows: rows.max(axis=1)) for s in specs], samples, seed)
+
+
+def expected_max_mc(spec: GaussianSpec, samples: int, seed: int) -> MCEstimate:
+    """Monte Carlo estimate of E max_i V_i from its _maxima; deterministic per (spec, samples, seed)."""
+    return estimate_from_values(_maxima([spec], samples, seed)[0])
 
 
 def _phi(z: float) -> float:
@@ -94,17 +96,15 @@ def expected_max_bivariate_exact(spec: GaussianSpec) -> float:
 
 
 def empirical_gap(
-    spec_x: GaussianSpec,
-    spec_y: GaussianSpec,
-    samples: int,
-    seed: int,
+    spec_x: GaussianSpec, spec_y: GaussianSpec, samples: int, seed: int
 ) -> tuple[MCEstimate, MCEstimate, MCEstimate]:
     """(est_x, est_y, gap): both expected maxima and their difference.
 
-    The two laws are sampled on distinct substreams derived from the one
-    seed, so the estimates are independent and the gap's stderr combines
-    theirs in quadrature.
+    Both laws take their maxima from the same draws, on derive_seed(seed, 0),
+    so the gap's stderr is the sd of the per-draw differences over sqrt(N),
+    not the two stderrs in quadrature.  Laws of two dimensions raise
+    DimensionMismatch.
     """
-    est_x = expected_max_mc(spec_x, samples, derive_seed(seed, 0))
-    est_y = expected_max_mc(spec_y, samples, derive_seed(seed, 1))
-    return est_x, est_y, MCEstimate(est_x.value - est_y.value, math.hypot(est_x.stderr, est_y.stderr))
+    mx, my = _maxima([spec_x, spec_y], samples, derive_seed(seed, 0))
+    est_x, est_y = estimate_from_values(mx), estimate_from_values(my)
+    return est_x, est_y, MCEstimate(est_x.value - est_y.value, estimate_from_values(mx - my).stderr)

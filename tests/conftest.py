@@ -3,6 +3,11 @@
 import tracemalloc
 
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run and keep no example database.
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture

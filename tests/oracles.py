@@ -7,10 +7,17 @@ output and these values is evidence rather than tautology.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
+
+
+@functools.cache
+def _legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per node count."""
+    return np.polynomial.legendre.leggauss(nodes)
 
 
 def iid_expected_max_quad(n: int, nodes: int = 3000) -> float:
@@ -19,7 +26,7 @@ def iid_expected_max_quad(n: int, nodes: int = 3000) -> float:
     Uses the order-statistic density: E max = int n z phi(z) Phi(z)^(n-1) dz,
     with the power computed in log space so large n cannot underflow.
     """
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _legendre(nodes)
     lo, hi = -12.0, 14.0
     z = (hi - lo) / 2.0 * x + (hi + lo) / 2.0
     wz = (hi - lo) / 2.0 * w

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import bivariate_expected_max_quad, iid_expected_max_quad
 
@@ -15,15 +17,24 @@ from sudfer import (
     DimensionMismatch,
     InvalidInput,
     MCEstimate,
+    derive_seed,
     empirical_gap,
     expected_max_bivariate_exact,
     expected_max_mc,
+    iid_standard_spec,
+    random_spec,
     validate_spec,
+    zero_spec,
 )
+from sudfer import estimator
 from sudfer.estimator import estimate_from_values
 from sudfer.gaussian import SHARD_ROWS, common_draw_values, iid_maxima
 
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+
+
+def row_max(rows):
+    return rows.max(axis=1)
 
 
 def random_2d_spec(rng, with_mean=True):
@@ -197,14 +208,78 @@ class TestEmpiricalGap:
         _, _, gap_shifted = empirical_gap(xs, ys, 10**4, seed=29)
         assert gap_shifted.value == pytest.approx(gap.value, abs=1e-10)
 
-    def test_stderr_combines_in_quadrature(self):
-        x = validate_spec(np.zeros(2), np.eye(2))
-        y = validate_spec(np.zeros(2), 2.0 * np.eye(2))
+    def test_both_laws_share_one_draw_and_the_gap_stderr_is_paired(self):
+        # X and Y come from one common_draw_values call on derive_seed(seed, 0); the gap's stderr is that of
+        # the per-draw differences.
+        x, y = random_spec(3, 30, "wishart"), validate_spec(np.zeros(3), np.eye(3) + 0.5)
         est_x, est_y, gap = empirical_gap(x, y, 10**4, seed=31)
-        from sudfer import derive_seed
+        mx, my = common_draw_values([(x, row_max), (y, row_max)], 10**4, derive_seed(31, 0))
+        assert est_x == estimate_from_values(mx) and est_y == estimate_from_values(my)
+        assert gap == MCEstimate(est_x.value - est_y.value, estimate_from_values(mx - my).stderr)
 
-        ex = expected_max_mc(x, 10**4, derive_seed(31, 0))
-        ey = expected_max_mc(y, 10**4, derive_seed(31, 1))
-        assert est_x == ex and est_y == ey
-        assert gap.value == ex.value - ey.value
-        assert gap.stderr == pytest.approx(math.hypot(ex.stderr, ey.stderr), abs=0)
+    def test_laws_of_two_dimensions_are_refused(self):
+        pairs = [
+            (iid_standard_spec(4), zero_spec(8)),  # both would skip the rows
+            (random_spec(4, 32, "wishart"), random_spec(8, 32, "wishart")),  # both draw rows
+            (iid_standard_spec(4), random_spec(8, 32, "wishart")),
+        ]
+        for x, y in pairs:
+            for a, b in ((x, y), (y, x)):
+                with pytest.raises(DimensionMismatch):
+                    empirical_gap(a, b, 1000, seed=1)
+
+    def test_an_iid_law_paired_with_a_dense_law_takes_its_maxima_from_rows(self):
+        x, y = iid_standard_spec(4), random_spec(4, 33, "wishart")
+        est_x, _, _ = empirical_gap(x, y, 5000, seed=33)
+        (rows,) = common_draw_values([(x, row_max)], 5000, derive_seed(33, 0))
+        assert est_x == estimate_from_values(rows)
+        assert est_x != expected_max_mc(x, 5000, derive_seed(33, 0))  # the iid_maxima estimate
+
+    def test_two_iid_laws_are_comonotone(self):
+        x, y = validate_spec(np.full(5, 1.0), 4.0 * np.eye(5)), validate_spec(np.full(5, -2.0), 0.25 * np.eye(5))
+        mx, my = estimator._maxima([x, y], 4000, seed=34)
+        assert np.allclose((mx - 1.0) / 2.0, (my + 2.0) / 0.5, rtol=1e-12, atol=1e-12)
+        est_x, est_y, gap = empirical_gap(x, y, 4000, seed=34)
+        assert gap.stderr == pytest.approx(est_x.stderr - est_y.stderr, rel=1e-12)  # the bracket's lower end
+
+    def test_a_dense_pair_makes_one_common_draw_call_with_both_laws(self, monkeypatch):
+        calls = []
+
+        def spy(laws, count, seed):
+            calls.append([spec for spec, _ in laws])
+            return common_draw_values(laws, count, seed)
+
+        monkeypatch.setattr(estimator, "common_draw_values", spy)
+        x, y = random_spec(6, 35, "wishart"), random_spec(6, 36, "wishart")
+        empirical_gap(x, y, 1000, seed=35)
+        assert calls == [[x, y]]  # GaussianSpec compares by identity
+
+
+def _pair_laws(n, kinds, seed):
+    rng = np.random.default_rng(seed)
+    for kind in kinds:
+        mean = np.full(n, rng.standard_normal())
+        if kind == "dense":
+            a = rng.standard_normal((n, n))
+            yield validate_spec(mean, (a @ a.T + a.T @ a) / 2.0)
+        elif kind == "diagonal":
+            yield validate_spec(mean, np.diag(rng.uniform(0.1, 3.0, n)))
+        elif kind == "iid":
+            yield validate_spec(mean, rng.uniform(0.1, 3.0) * np.eye(n))
+        else:
+            yield validate_spec(mean, np.zeros((n, n)))
+
+
+class TestPairedStderrProperty:
+    @given(
+        n=st.integers(1, 6),
+        kinds=st.tuples(*2 * [st.sampled_from(["dense", "diagonal", "iid", "zero"])]),
+        samples=st.integers(2, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gap_stderr_lies_between_the_difference_and_the_sum(self, n, kinds, samples, seed):
+        x, y = _pair_laws(n, kinds, seed)
+        est_x, est_y, gap = empirical_gap(x, y, samples, seed)
+        # 1e-12 relative to the size of the maxima: a constant law's sample sd is rounding-level, not 0.
+        slack = 1e-12 * (abs(est_x.value) + abs(est_y.value) + est_x.stderr + est_y.stderr)
+        assert abs(est_x.stderr - est_y.stderr) - slack <= gap.stderr <= est_x.stderr + est_y.stderr + slack
