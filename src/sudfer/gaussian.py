@@ -20,13 +20,13 @@ SeedSequence(seed, spawn_key=(k,)).  Worker count or chunked consumption can
 never change the result.  Laws of one dimension share the normals of a seed,
 so :func:`common_draw_values`, on which every Monte Carlo estimator is built,
 draws each shard once for a group of laws and keeps per-row reductions only.
-A shard is drawn in row blocks of about 4 MiB, or whole when a dense law
-draws, into one buffer and transformed into a second, both reused; the last
-diagonal law is transformed in place when no later law draws, so a lone
-diagonal law holds one 4 MiB buffer whatever n is.  Per-row values go into
-one result per law, preallocated.  Each law is checked and factored once,
-when its GaussianSpec is built, by one decomposition (:func:`_factor`);
-diagonal laws (the iid and zero laws) skip every O(n^3) step.
+A shard is drawn in row blocks of about 4 MiB into one buffer and transformed
+into a second, both reused; the last diagonal law is transformed in place when
+no later law draws, so a lone diagonal law holds one 4 MiB buffer whatever n
+is.  Per-row values go into one result per law, preallocated.  Each law is
+checked and factored once, when its GaussianSpec is built, by one
+decomposition (:func:`_factor`); diagonal laws (the iid and zero laws) skip
+every O(n^3) step.
 
 :func:`iid_maxima` draws the maximum of n iid standard normals without the
 vector: one uniform per draw, inverted through Phi^n with Wichura's AS241,
@@ -234,16 +234,16 @@ def common_draw_values(
 
     ``laws`` is a sequence of ``(spec, reduce)`` pairs of one dimension, and
     ``count`` an integer.  Shard k (rows [k*SHARD_ROWS, ...)) draws z from the
-    one generator derived from (seed, k), in consecutive row blocks, each
-    transformed by each law's factor in turn; ``reduce`` returns one entry per
-    row, with the same trailing shape on every block (else InvalidInput), kept
-    in law j's preallocated result.  Blocks hold about 4 MiB unless a law with
-    a dense (2-d) factor draws: a product's last bits depend on its row count.
-    That result does not depend on the other laws: ``sample(spec, count, seed)``
-    is ``common_draw_values([(spec, np.asarray)], count, seed)[0]``.  A law with
-    an all-zero factor is its mean on every row and draws no normals.  Blocks
-    are drawn into one buffer and transformed into another, shared by all laws;
-    the last diagonal law is transformed in place when no later law draws.
+    one generator derived from (seed, k), in consecutive row blocks of about
+    4 MiB whose rows depend on n alone, each transformed by each law's factor
+    in turn (in the z buffer itself for the last law that draws, if it is
+    diagonal); ``reduce`` returns one entry per row, with the same trailing
+    shape on every block (else InvalidInput), kept in law j's preallocated
+    result, which no other law changes: ``sample(spec, count, seed)`` is
+    ``common_draw_values([(spec, np.asarray)], count, seed)[0]``.  Prefixes
+    agree bitwise, except that a dense product's last bits depend on its row
+    count: rows of a final block that a count cut short may differ.  A law with
+    an all-zero factor is its mean on every row and draws no normals.
     ``reduce`` may modify its rows or return a view of them, which the result
     copies; neither reaches another law or block.
     """
@@ -257,7 +257,7 @@ def common_draw_values(
     # overwrites z when its factor is diagonal (elementwise, same bits); the others use the row buffer, so z survives.
     drawn = [j for j, (spec, _) in enumerate(laws) if spec.factor.any()]
     in_place = drawn[-1] if drawn and laws[drawn[-1]][0].factor.ndim == 1 else None
-    block = SHARD_ROWS if any(laws[j][0].factor.ndim == 2 for j in drawn) else _panel_rows(n)
+    block = _panel_rows(n)
     shape = (min(block, count), n)
     zbuf = np.empty(shape if drawn else (0, n))
     rowbuf = np.empty(shape) if len(laws) > (in_place is not None) else None

@@ -18,6 +18,7 @@ from sudfer import (
     derive_seed,
     expected_max_mc,
     increment_matrix,
+    random_spec,
     sample,
     validate_spec,
 )
@@ -184,11 +185,30 @@ class TestSample:
         assert not np.array_equal(a, c)
 
     def test_prefix_property_of_shards(self):
-        # Asking for fewer rows yields a prefix of the longer batch.
+        # Asking for fewer rows yields a prefix of the longer batch, bitwise
+        # for diagonal and zero laws.  A dense product's last bits may depend
+        # on its row count, so a dense law agrees on every row before its
+        # final block, and on all rows when the count ends on a block
+        # boundary: at n = 300 blocks hold 2**19 // 300 = 1747 rows,
+        # restarting at each shard.
         spec = validate_spec(np.zeros(2), np.eye(2))
-        long = sample(spec, 300, seed=8)
-        short = sample(spec, 120, seed=8)
-        assert np.array_equal(long[:120], short)
+        assert np.array_equal(sample(spec, 300, seed=8)[:120], sample(spec, 120, seed=8))
+        n, block, seed = 300, 1747, 7
+        long_count = 2 * SHARD_ROWS + 17
+        rng = np.random.default_rng(20)
+        diag = validate_spec(rng.standard_normal(n), np.diag(rng.uniform(0.1, 8.0, n)))
+        zero = validate_spec(rng.standard_normal(n), np.zeros((n, n)))
+        for spec in (diag, zero):
+            long = sample(spec, long_count, seed)
+            for count in (1, 17, SHARD_ROWS + 1):
+                assert np.array_equal(sample(spec, count, seed), long[:count]), count
+        dense = random_spec(n, 5, "wishart")
+        long = sample(dense, long_count, seed)
+        for count in (block, 2 * block, SHARD_ROWS, SHARD_ROWS + block, 1, 17, SHARD_ROWS + 1, SHARD_ROWS + block + 17):
+            shard = (count - 1) // SHARD_ROWS * SHARD_ROWS
+            final = shard + (count - 1 - shard) // block * block  # first row of the final block
+            rows = count if count - final == min(block, shard + SHARD_ROWS - final) else final
+            assert np.array_equal(sample(dense, count, seed)[:rows], long[:rows]), count
 
     def test_count_validation(self):
         spec = validate_spec([0.0], [[1.0]])
@@ -268,46 +288,44 @@ class TestCommonDrawValues:
         assert not np.shares_memory(a, b)
         assert not np.array_equal(a, b)
 
-    def test_sample_peaks_at_its_result_plus_two_shard_buffers(self, traced_peak):
-        # Each shard is drawn into z, transformed into the row buffer and
-        # written straight into the one (count x n) result.
+    def test_sample_peaks_at_its_result_plus_two_panel_blocks(self, traced_peak):
+        # Each block of about 4 MiB is drawn into z, transformed into the row
+        # buffer (or into z itself for the identity law) and written straight
+        # into the one (count x n) result, whether the law is dense or not.
         n, count = 256, 4 * SHARD_ROWS
-        spec = validate_spec(np.zeros(n), np.eye(n))
-        rows, peak = traced_peak(lambda: sample(spec, count, seed=11))
-        assert rows.shape == (count, n)
-        assert peak <= (count + 2 * SHARD_ROWS) * n * 8 + 2**20
+        panel = (2**19 // n) * n * 8
+        for spec in (validate_spec(np.zeros(n), np.eye(n)), random_spec(n, 19, "wishart")):
+            rows, peak = traced_peak(lambda: sample(spec, count, seed=11))
+            assert rows.shape == (count, n)
+            assert peak <= count * n * 8 + 2 * panel + 2**20, spec.factor.ndim
 
     def test_in_place_diagonal_laws_keep_their_bits(self):
         # The last law that draws is transformed in z itself when it is
-        # diagonal.  With only diagonal laws drawing, a shard is drawn in
-        # blocks of about 4 MiB: at n = 100, 5242 rows, so a full shard splits
+        # diagonal.  Every call draws a shard in blocks of about 4 MiB, whatever
+        # laws it holds: at n = 100, 5242 rows, so a full shard splits
         # 5242 + 2950.  The blocks are one generator's consecutive fills, so
         # every law must still equal its own sample and a reference built
-        # whole shard by whole shard outside the package.  A dense law's
-        # product keeps whole-shard blocks: its last bits depend on the rows.
+        # outside the package in the same blocks, since a dense product's last
+        # bits may depend on its row count.
         rng = np.random.default_rng(12)
         n, count, seed = 100, SHARD_ROWS + 257, 13
         dense = random_psd_spec(rng, n)
         diag = validate_spec(rng.standard_normal(n), np.diag(rng.uniform(0.1, 8.0, n)))
         other = validate_spec(rng.standard_normal(n), np.diag(rng.uniform(0.1, 8.0, n)))
         zero = validate_spec(rng.standard_normal(n), np.zeros((n, n)))
+        blocks = [5242, 2950, 257]
 
         def reference(spec):
             shards = []
             for k, start in enumerate(range(0, count, SHARD_ROWS)):
                 rows = min(SHARD_ROWS, count - start)
                 z = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))).standard_normal((rows, n))
-                shards.append(z @ spec.factor.T if spec is dense else z * np.sqrt(np.diagonal(spec.covariance)))
+                for lo in range(0, rows, blocks[0]):
+                    block = z[lo : lo + blocks[0]]
+                    shards.append(block @ spec.factor.T if spec is dense else block * np.sqrt(np.diag(spec.covariance)))
             return np.concatenate(shards) + spec.mean
 
-        sub_blocks, whole = [5242, 2950, 257], [SHARD_ROWS, 257]
-        for order, blocks in (
-            ([diag], sub_blocks),
-            ([dense, diag], whole),
-            ([diag, dense], whole),
-            ([diag, zero], sub_blocks),
-            ([zero, diag, other], sub_blocks),
-        ):
+        for order in ([diag], [dense], [dense, diag], [diag, dense], [diag, zero], [zero, diag, other], [zero, dense]):
             shapes = []
 
             def record(rows):
@@ -315,7 +333,7 @@ class TestCommonDrawValues:
                 return rows
 
             values = common_draw_values([(spec, record) for spec in order], count, seed)
-            assert shapes == [(rows, n) for rows in blocks for _ in order]
+            assert shapes == [(rows, n) for rows in blocks for _ in order], order
             for spec, rows in zip(order, values):
                 assert np.array_equal(rows, sample(spec, count, seed))
                 assert np.array_equal(rows, np.broadcast_to(spec.mean, rows.shape) if spec is zero else reference(spec))

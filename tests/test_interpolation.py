@@ -258,21 +258,32 @@ class TestPhiDerivative:
 
 
 class TestPathMemory:
-    # The reductions overwrite the block they are handed: a dense n=256 law
-    # holds the z block and the row block, and phi_derivative's integrand
-    # one more block for p @ diff.
+    # Every law draws in row blocks of about 4 MiB, 2048 rows at n = 256, and
+    # the reductions overwrite the block they are handed: a dense law holds
+    # the z block and the row block, and phi_derivative's integrand one more
+    # block for p @ diff, next to the n x n increment matrices.
     N = 256
-    BLOCK = SHARD_ROWS * N * 8
+    BLOCK = (2**19 // N) * N * 8
 
     def test_phi_peaks_at_two_blocks(self, traced_peak):
         x, y = dominated_pair(self.N, seed=960, generator="wishart")
         _, peak = traced_peak(lambda: phi(x, y, SmoothMaxParams(2.0), 0.5, 2 * SHARD_ROWS, 961))
-        assert peak <= 2 * self.BLOCK + 2**21
+        assert peak <= 2 * self.BLOCK + 2**22  # 12 MiB
 
     def test_phi_derivative_peaks_at_three_blocks(self, traced_peak):
         x, y = dominated_pair(self.N, seed=960, generator="wishart")
         _, peak = traced_peak(lambda: phi_derivative(x, y, SmoothMaxParams(2.0), 0.5, 2 * SHARD_ROWS, 962))
-        assert peak <= 3 * self.BLOCK + 2**23
+        assert peak <= 3 * self.BLOCK + 2**23  # 20 MiB
+
+    def test_stein_residual_values_peak_at_their_result_plus_eight_blocks(self, traced_peak):
+        # The (count x n) result, the z and row blocks, and the block-sized
+        # temporaries of the residual: the public functions' private copies,
+        # rows - mean and g @ cov.
+        _, y = dominated_pair(self.N, seed=960, generator="wishart")
+        count = 2 * SHARD_ROWS
+        values, peak = traced_peak(lambda: stein_residual_values(y, SmoothMaxParams(2.0), count, 963))
+        assert values.shape == (count, self.N)
+        assert peak <= count * self.N * 8 + 8 * self.BLOCK  # 64 MiB
 
 
 class TestSteinResiduals:
