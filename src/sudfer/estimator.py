@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput
-from .gaussian import GaussianSpec, check_count, check_seed, common_draw_values, derive_seed, iid_maxima
+from .gaussian import GaussianSpec, check_count, check_seed, common_draw_values, derive_seed, iid_maxima, is_iid
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,16 @@ class MCEstimate:
 
 
 def estimate_from_values(values: np.ndarray) -> MCEstimate:
-    """Reduce per-draw values to (mean, sd/sqrt(N)).  Needs N >= 2."""
+    """Reduce per-draw values to (mean, sd/sqrt(N)).  Needs N >= 2.
+
+    Equal values give that value with stderr 0 exactly: numpy's mean and sd of
+    a constant array can round (0.1 repeated reads 0.09999999999999999).
+    """
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.shape[0] < 2:
         raise InvalidInput("need a 1-d array of at least two per-draw values")
+    if v.min() == v.max():
+        return MCEstimate(value=float(v[0]), stderr=0.0)
     return MCEstimate(value=float(v.mean()), stderr=float(v.std(ddof=1) / math.sqrt(v.shape[0])))
 
 
@@ -61,7 +67,7 @@ def _maxima(specs: list[GaussianSpec], samples: int, seed: int) -> list[np.ndarr
     check_seed(seed)
     if len({spec.n for spec in specs}) != 1:
         raise DimensionMismatch(f"laws of one dimension needed, got dimensions {[spec.n for spec in specs]}")
-    if all(s.factor.ndim == 1 and s.factor.min() == s.factor.max() and s.mean.min() == s.mean.max() for s in specs):
+    if all(is_iid(s) for s in specs):
         m = iid_maxima(specs[0].n, samples, seed) if any(s.factor[0] for s in specs) else None
         return [s.mean[0] + s.factor[0] * m if s.factor[0] else np.full(samples, s.mean[0]) for s in specs]
     return common_draw_values([(s, lambda rows: rows.max(axis=1)) for s in specs], samples, seed)
@@ -86,7 +92,8 @@ def expected_max_bivariate_exact(spec: GaussianSpec) -> float:
         raise DimensionMismatch(f"closed form needs n = 2, got n = {spec.n}")
     mu1, mu2 = (float(m) for m in spec.mean)
     c = spec.covariance
-    theta_sq = float(c[0, 0] + c[1, 1] - 2.0 * c[0, 1])
+    # Stored variances have cov[0, 1] = 0, and subtracting 2 * 0 changes no bit.
+    theta_sq = float(c[0] + c[1] if c.ndim == 1 else c[0, 0] + c[1, 1] - 2.0 * c[0, 1])
     if theta_sq <= 0.0:
         # V1 - V2 is a.s. constant: the max is just the larger mean.
         return mu1 if mu1 >= mu2 else mu2

@@ -44,13 +44,13 @@ def random_spec(n: int, seed: int, generator: str) -> GaussianSpec:
 
     wishart:        A A^T / n for A an n x n matrix of iid standard normals
     equicorrelated: (1-rho) I + rho 11^T with rho ~ U[0, 1)
-    diagonal:       diag of iid U[0.1, 2]
+    diagonal:       iid U[0.1, 2] variances, stored 1-d
     """
     return validate_spec(np.zeros(n), _random_covariance(n, seed, generator))
 
 
 def _random_covariance(n: int, seed: int, generator: str) -> np.ndarray:
-    """The covariance of ``random_spec(n, seed, generator)``, with no law built."""
+    """The covariance of ``random_spec(n, seed, generator)``, with no law built: 1-d variances for "diagonal"."""
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=check_seed(seed)))
@@ -62,7 +62,7 @@ def _random_covariance(n: int, seed: int, generator: str) -> np.ndarray:
         rho = float(rng.uniform(0.0, 1.0))
         cov = (1.0 - rho) * np.eye(n) + rho * np.ones((n, n))
     elif generator == "diagonal":
-        cov = np.diag(rng.uniform(0.1, 2.0, size=n))
+        cov = rng.uniform(0.1, 2.0, size=n)  # the variances: a diagonal law stores no n x n array
     else:
         raise UnknownGenerator(
             f"unknown generator {generator!r} (explicit specs are resolved from the config)"
@@ -71,17 +71,23 @@ def _random_covariance(n: int, seed: int, generator: str) -> np.ndarray:
 
 
 def iid_standard_spec(n: int) -> GaussianSpec:
-    """N(0, I_n): independent standard normal coordinates."""
-    return validate_spec(np.zeros(n), np.eye(n))
+    """N(0, I_n): independent standard normal coordinates, built from their variances in O(n)."""
+    return _constant_spec(n, 1.0)
 
 
 def zero_spec(n: int) -> GaussianSpec:
-    """The law of the all-zero vector (degenerate, covariance 0)."""
-    return validate_spec(np.zeros(n), np.zeros((n, n)))
+    """The law of the all-zero vector (degenerate, variances 0), built in O(n)."""
+    return _constant_spec(n, 0.0)
+
+
+def _constant_spec(n: int, variance: float) -> GaussianSpec:
+    # Stride-0 inputs: the law's own read-only copies are the only n-long arrays it allocates.
+    return validate_spec(np.broadcast_to(0.0, n), np.broadcast_to(variance, n))
 
 
 def spec_from_document(doc: dict) -> GaussianSpec:
-    """Parse {"mean": [...], "covariance": [[...], ...]} into a validated spec.
+    """Parse {"mean": [...], "covariance": [[...], ...]} into a validated spec; a flat
+    "covariance" list holds the variances of independent coordinates.
     Every entry must be a finite real number: bools, strings and nulls are not coerced."""
     try:
         mean = doc["mean"]

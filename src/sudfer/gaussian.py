@@ -1,7 +1,9 @@
 """Finite-dimensional Gaussian laws: validation, increments, sampling, blending.
 
-A law is a mean vector plus a symmetric PSD covariance matrix.  The module
-also computes the increment matrix
+A law is a mean vector plus a symmetric PSD covariance.  A law whose factor
+is 1-d (a diagonal law: iid, zero, independent coordinates) stores its
+covariance 1-d too, as its n variances, and holds no n x n array; every other
+law stores the n x n matrix.  The module also computes the increment matrix
 
     g[i, j] = E (V_i - V_j)^2 = cov[i,i] + cov[j,j] - 2 cov[i,j] + (mu_i - mu_j)^2
 
@@ -26,7 +28,7 @@ no later law draws, so a lone diagonal law holds one 4 MiB buffer whatever n
 is.  Per-row values go into one result per law, preallocated.  Each law is
 checked and factored once, when its GaussianSpec is built, by one
 decomposition (:func:`_factor`); diagonal laws (the iid and zero laws) skip
-every O(n^3) step.
+every O(n^3) step, and built from their variances they cost O(n).
 
 :func:`iid_maxima` draws the maximum of n iid standard normals without the
 vector: one uniform per draw, inverted through Phi^n with Wichura's AS241,
@@ -38,7 +40,7 @@ from __future__ import annotations
 import contextlib
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -102,11 +104,15 @@ def derive_seed(seed: int, *path: int) -> int:
 class GaussianSpec:
     """The law of one finite Gaussian vector: mean, covariance and its factor.
 
-    Construction checks shapes, finiteness and exact symmetry, then makes the
-    one PSD decision (:func:`_factor`): rounding-level negative eigenvalues
-    are clamped to zero in the stored covariance, larger ones raise NotPSD.
-    ``factor`` is a read-only L with L @ L.T equal to the stored covariance,
-    1-d when L is diagonal; every draw of the law is mean + L z.
+    ``covariance`` is either the n x n matrix or a 1-d array of n variances,
+    the covariance of independent coordinates.  Construction checks shapes,
+    finiteness and exact symmetry, then makes the one PSD decision
+    (:func:`_factor`): rounding-level negative eigenvalues are clamped to zero
+    in the stored covariance, larger ones raise NotPSD.  ``factor`` is a
+    read-only L with L @ L.T equal to the stored covariance, 1-d when L is
+    diagonal; every draw of the law is mean + L z.  The stored covariance has
+    the factor's number of dimensions: a law with a 1-d factor keeps its
+    variances and no n x n array, however it was given.
     """
 
     mean: np.ndarray
@@ -121,19 +127,22 @@ class GaussianSpec:
             cov = np.asarray(self.covariance, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise InvalidInput(f"mean/covariance must be arrays of real numbers: {exc}") from exc
-        if mean.ndim != 1 or cov.ndim != 2:
-            raise DimensionMismatch(f"mean must be 1-d and covariance 2-d, got shapes {mean.shape} and {cov.shape}")
+        if mean.ndim != 1 or cov.ndim not in (1, 2):
+            raise DimensionMismatch(
+                f"mean must be 1-d and covariance 2-d (or 1-d variances), got shapes {mean.shape} and {cov.shape}"
+            )
         n = mean.shape[0]
         if n < 1:
             raise DimensionMismatch("need at least one coordinate")
-        if cov.shape != (n, n):
+        if cov.shape != (n,) * cov.ndim:
             raise DimensionMismatch(f"covariance shape {cov.shape} does not match mean length {n}")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise InvalidInput("mean/covariance entries must be finite")
-        diagonal = _is_diagonal(cov)
-        if not (diagonal or np.array_equal(cov, cov.T)):  # the transposed compare is the slow one
+        if cov.ndim == 2 and _is_diagonal(cov):
+            cov = np.diagonal(cov)
+        elif cov.ndim == 2 and not np.array_equal(cov, cov.T):
             raise NotSymmetric("covariance is not exactly symmetric as stored")
-        cov, factor = _factor(cov, diagonal)
+        cov, factor = _factor(cov)
         factor.setflags(write=False)  # always a fresh array: no copy needed
         object.__setattr__(self, "mean", _as_readonly(mean))
         object.__setattr__(self, "covariance", _as_readonly(cov))
@@ -147,6 +156,12 @@ class GaussianSpec:
 def validate_spec(mean, covariance) -> GaussianSpec:
     """Build a GaussianSpec: every check, clamp and factorization is the constructor's."""
     return GaussianSpec(mean, covariance)
+
+
+def is_iid(spec: GaussianSpec) -> bool:
+    """True when the law draws iid coordinates: a 1-d factor of equal entries and a constant mean."""
+    factor, mean = spec.factor, spec.mean
+    return factor.ndim == 1 and factor.min() == factor.max() and mean.min() == mean.max()
 
 
 def increment_matrix(spec: GaussianSpec) -> np.ndarray:
@@ -164,16 +179,34 @@ def increment_matrix(spec: GaussianSpec) -> np.ndarray:
 def _increments(spec: GaussianSpec, lo: int, hi: int) -> np.ndarray:
     """Rows [lo, hi) of the increment matrix, each entry from the one expression.
 
-    Overflow is reported once, by InvalidInput, not by numpy warnings.
+    A law that stores its variances d has cov[i,j] = 0 off the diagonal, and
+    subtracting 2 * 0 changes no bit, so only the diagonal entries subtract
+    2 d_i.  Overflow is reported once, by InvalidInput, not by numpy warnings.
     """
     cov = spec.covariance
     mu = spec.mean
-    d = np.diagonal(cov)
+    d = cov if cov.ndim == 1 else np.diagonal(cov)
     with np.errstate(over="ignore", invalid="ignore"):
-        g = np.maximum(d[lo:hi, None] + d[None, :] - 2.0 * cov[lo:hi] + (mu[lo:hi, None] - mu[None, :]) ** 2, 0.0)
+        g = d[lo:hi, None] + d[None, :]
+        if cov.ndim == 2:
+            g -= 2.0 * cov[lo:hi]
+        else:
+            rows = np.arange(g.shape[0])
+            g[rows, lo + rows] -= 2.0 * d[lo:hi]  # 0, or NaN where d_i + d_i overflows
+        g += (mu[lo:hi, None] - mu[None, :]) ** 2
+        np.maximum(g, 0.0, out=g)
     if not np.isfinite(g).all():
         raise InvalidInput("increment entries must be finite: the law's scale overflows float64")
     return g
+
+
+def _difference_panels(spec_x: GaussianSpec, spec_y: GaussianSpec) -> Iterator[tuple[int, np.ndarray]]:
+    """``(lo, rows)`` for consecutive row panels of gY - gX of about 4 MiB each, rows [lo, lo + len(rows))."""
+    if spec_x.n != spec_y.n:
+        raise DimensionMismatch(f"dimensions differ: {spec_x.n} vs {spec_y.n}")
+    panel = _panel_rows(spec_x.n)
+    for lo in range(0, spec_x.n, panel):
+        yield lo, _increments(spec_y, lo, lo + panel) - _increments(spec_x, lo, lo + panel)
 
 
 def _is_diagonal(a: np.ndarray) -> bool:
@@ -181,19 +214,22 @@ def _is_diagonal(a: np.ndarray) -> bool:
     return np.count_nonzero(a) == np.count_nonzero(np.diagonal(a))
 
 
-def _factor(cov: np.ndarray, diagonal: bool) -> tuple[np.ndarray, np.ndarray]:
+def _factor(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The one PSD decision: ``(cov, factor)`` with factor @ factor.T equal to cov.
 
-    ``diagonal`` is ``_is_diagonal(cov)``.  An all-positive or all-zero
-    diagonal gets sqrt(diagonal), bitwise what Cholesky gives; other matrices
-    that Cholesky accepts keep its factor.  Otherwise one eigendecomposition
-    (degenerate laws, zero/positive diagonals) rejects an eigenvalue below
-    -PSD_RTOL*(1+trace) with NotPSD and clamps negative ones above it to zero,
-    in the covariance and the factor alike.  A diagonal factor is returned 1-d.
+    ``cov`` is an n x n matrix with a nonzero off-diagonal entry, or the 1-d
+    variances of a diagonal one.  All-positive or all-zero variances get
+    sqrt(variances), bitwise what Cholesky gives.  Other variances (zero and
+    positive mixed, negative ones) go on as their n x n matrix, like any other
+    matrix: one Cholesky, else one eigendecomposition that rejects an
+    eigenvalue below -PSD_RTOL*(1+trace) with NotPSD and clamps negative ones
+    above it to zero, in the covariance and the factor alike.  When both the
+    factor and the covariance come out diagonal, both are returned 1-d.
     """
-    d = np.diagonal(cov)
-    if diagonal and (float(d.min()) > 0.0 or not d.any()):
-        return cov, np.sqrt(d)
+    if cov.ndim == 1:
+        if float(cov.min()) > 0.0 or not cov.any():
+            return cov, np.sqrt(cov)
+        cov = np.diag(cov)
     with contextlib.suppress(np.linalg.LinAlgError):
         return cov, np.linalg.cholesky(cov)
     try:
@@ -208,7 +244,9 @@ def _factor(cov: np.ndarray, diagonal: bool) -> tuple[np.ndarray, np.ndarray]:
         cov = (v * w) @ v.T
         cov = (cov + cov.T) / 2.0  # exact symmetry after the matmul
     factor = v * np.sqrt(w)
-    return cov, (np.diagonal(factor).copy() if _is_diagonal(factor) else factor)
+    if _is_diagonal(factor) and _is_diagonal(cov):
+        return np.diagonal(cov), np.diagonal(factor).copy()
+    return cov, factor
 
 
 def _panel_rows(n: int) -> int:
@@ -359,15 +397,18 @@ def means_equal(spec_x: GaussianSpec, spec_y: GaussianSpec) -> bool:
     """Equal-means hypothesis check, with a relative floating-point band."""
     if spec_x.n != spec_y.n:
         raise DimensionMismatch(f"dimensions differ: {spec_x.n} vs {spec_y.n}")
-    scale = max(float(np.max(np.abs(spec_x.mean))), float(np.max(np.abs(spec_y.mean))))
-    return bool(np.max(np.abs(spec_x.mean - spec_y.mean)) <= MEAN_RTOL * (1.0 + scale))
+    # max |mu| is max(max mu, -min mu), exactly; the gap holds one n-long temporary.
+    scale = max(float(m) for mean in (spec_x.mean, spec_y.mean) for m in (mean.max(), -mean.min()))
+    gap = np.subtract(spec_x.mean, spec_y.mean)
+    return bool(np.abs(gap, out=gap).max() <= MEAN_RTOL * (1.0 + scale))
 
 
 def blended_spec(spec_x: GaussianSpec, spec_y: GaussianSpec, t: float) -> GaussianSpec:
     """Law of the square-root blend at time t in [0, 1].
 
     Covariance is the entrywise convex combination of the two (centered)
-    covariances, PSD by convexity; the shared mean is interpolated likewise
+    covariances, PSD by convexity (two diagonal laws blend their variances,
+    with no n x n array); the shared mean is interpolated likewise
     (the two may differ by tolerance-level noise).  At t = 0 and t = 1 the
     inputs themselves are returned, factor included, so endpoints round-trip
     bit-identically and a clamped law is never clamped twice.
@@ -379,4 +420,7 @@ def blended_spec(spec_x: GaussianSpec, spec_y: GaussianSpec, t: float) -> Gaussi
     if t in (0.0, 1.0):
         return spec_y if t else spec_x
     s = 1.0 - t
-    return GaussianSpec(s * spec_x.mean + t * spec_y.mean, s * spec_x.covariance + t * spec_y.covariance)
+    cov_x, cov_y = spec_x.covariance, spec_y.covariance
+    if cov_x.ndim != cov_y.ndim:  # a 1-d law against a dense one: blend its matrix, never broadcast its variances
+        cov_x, cov_y = (np.diag(c) if c.ndim == 1 else c for c in (cov_x, cov_y))
+    return GaussianSpec(s * spec_x.mean + t * spec_y.mean, s * cov_x + t * cov_y)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInput
 from .estimator import MCEstimate, estimate_from_values
-from .gaussian import GaussianSpec, blended_spec, common_draw_values, increment_matrix
+from .gaussian import GaussianSpec, _difference_panels, blended_spec, common_draw_values
 from .smoothmax import SmoothMaxParams, _smooth_max_rows, _softmax_rows, smooth_max, softmax
 
 # Cap on the half-width of the central finite-difference step.
@@ -93,7 +93,10 @@ def phi_derivative(
         raise DomainError(f"t must lie strictly inside (0, 1), got {t}")
     if samples < 2:
         raise InvalidInput(f"samples must be >= 2, got {samples}")
-    diff = increment_matrix(spec_y) - increment_matrix(spec_x)
+    diff = np.empty((spec_x.n, spec_x.n))
+    for lo, panel in _difference_panels(spec_x, spec_y):
+        diff[lo : lo + len(panel)] = panel
+    del panel  # else the last panel stays alive through the draws
     quarter_beta = params.beta / 4.0
     h = min(t, 1.0 - t, FD_STEP_CAP) / 2.0
 
@@ -148,7 +151,8 @@ def stein_residual_values(
     def residual(rows: np.ndarray) -> np.ndarray:
         f = np.asarray(functional(rows), dtype=np.float64)
         g = np.asarray(gradient(rows), dtype=np.float64)
-        return (rows - spec.mean) * f[:, None] - g @ cov
+        # Stored variances d: g @ diag(d) is g * d, bitwise (every other term of the product is 0).
+        return (rows - spec.mean) * f[:, None] - (g * cov if cov.ndim == 1 else g @ cov)
 
     return common_draw_values([(spec, residual)], samples, seed)[0]
 

@@ -100,3 +100,17 @@ def gaussian_expectation_2d_quad(func, mean, cov, nodes: int = 300, width: float
 
 def normal_cdf(z):
     return ndtr(z)
+
+
+def increment_oracle(mean, cov) -> np.ndarray:
+    """E (V_i - V_j)^2 = C[i,i] + C[j,j] - 2 C[i,j] + (mu_i - mu_j)^2, clamped at 0, from the dense matrix C.
+
+    1-d variances are first put on the diagonal of an n x n matrix, so every
+    entry comes from the same written-out formula, whatever the law stores.
+    Overflowing entries are left as inf or nan for the caller to see.
+    """
+    c = np.diag(cov) if np.ndim(cov) == 1 else np.asarray(cov, dtype=np.float64)
+    d = np.diagonal(c)
+    mu = np.asarray(mean, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.maximum(d[:, None] + d[None, :] - 2.0 * c + (mu[:, None] - mu[None, :]) ** 2, 0.0)

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import increment_oracle
+
 from sudfer import (
     DegenerateGamma,
     DegenerateN,
@@ -20,6 +22,8 @@ from sudfer import (
     sf_bound,
     validate_spec,
 )
+from sudfer import bounds
+from sudfer.gaussian import is_iid
 
 
 def iid_spec(n):
@@ -282,8 +286,60 @@ class TestCertify:
         assert (cert.gamma, cert.dominates_xy, cert.dominates_yx) == (0.5, True, False)
 
     def test_peaks_below_one_square_array(self, traced_peak):
+        # The iid pair takes one scalar; unequal variances walk the row panels.
         n = 2048
-        x, y = iid_spec(n), zero_spec(n)
-        cert, peak = traced_peak(lambda: certify(x, y))
-        assert cert.gamma == 2.0 and cert.dominates_yx
-        assert peak < n * n * 8
+        y = zero_spec(n)
+        for x in (iid_spec(n), random_spec(n, 5, "diagonal")):
+            cert, peak = traced_peak(lambda: certify(x, y))
+            assert cert.gamma >= 2.0 * 0.1 and cert.dominates_yx
+            assert peak < n * n * 8
+
+
+class TestIidPairs:
+    # Two iid laws with equal variances certify from one scalar, never from the row panels.
+
+    @staticmethod
+    def no_panels(*args):
+        raise AssertionError("an iid pair reached the row panels")
+
+    def test_match_the_dense_increment_oracle_bitwise(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_difference_panels", self.no_panels)
+        for n in (1, 2, 3, 17, 257):
+            for vx in (0.0, 0.5, 1.0, 3.0):
+                for vy in (0.0, 0.5, 1.0, 3.0):
+                    for mx, my in ((0.0, 0.0), (1.5, 1.5), (0.0, -2.25)):
+                        x = validate_spec(np.full(n, mx), np.full(n, vx))
+                        y = validate_spec(np.full(n, my), np.full(n, vy))
+                        diff = increment_oracle(y.mean, np.full(n, vy)) - increment_oracle(x.mean, np.full(n, vx))
+                        cert = certify(x, y)
+                        case = (n, vx, vy, mx, my)
+                        assert cert.gamma == float(np.max(np.abs(diff))), case
+                        assert cert.dominates_xy == bool(np.all(diff >= 0.0)), case
+                        assert cert.dominates_yx == bool(np.all(diff <= 0.0)), case
+                        assert cert.means_equal == (mx == my), case
+                        assert cert.gamma == (0.0 if n == 1 else abs(2.0 * vy - 2.0 * vx)), case
+
+    def test_overflow_is_invalid_input_at_every_n(self, monkeypatch):
+        # 2 * 8e307 is finite; 2 * 1e308 overflows, on the diagonal too, so n = 1 raises as well.
+        monkeypatch.setattr(bounds, "_difference_panels", self.no_panels)
+        for n in (1, 2, 17):
+            fine = validate_spec(np.zeros(n), np.full(n, 8e307))
+            assert np.isfinite(increment_oracle(fine.mean, fine.covariance)).all()
+            assert certify(fine, zero_spec(n)).gamma == (0.0 if n == 1 else 1.6e308)
+            huge = validate_spec(np.zeros(n), np.full(n, 1e308))
+            assert not np.isfinite(increment_oracle(huge.mean, huge.covariance)).all()
+            for pair in ((huge, zero_spec(n)), (zero_spec(n), huge), (huge, huge)):
+                with pytest.raises(InvalidInput):
+                    certify(*pair)
+
+    def test_a_constant_factor_over_unequal_variances_takes_the_panels(self):
+        # sqrt rounds the neighbours a and b to one factor entry, so the law draws iid coordinates, but its
+        # off-diagonal increment is a + b = b + b, not a + a: the scalar would be wrong, the panels are exact.
+        a = float.fromhex("0x1.338b43555b41dp+1")
+        b = float(np.nextafter(a, np.inf))
+        x = validate_spec(np.zeros(2), [a, b])
+        assert is_iid(x) and a + b != a + a
+        diff = -increment_oracle(x.mean, [a, b])
+        cert = certify(x, zero_spec(2))
+        assert cert.gamma == float(np.max(np.abs(diff))) == b + b
+        assert (cert.dominates_xy, cert.dominates_yx) == (False, True)

@@ -162,6 +162,12 @@ class TestExitCodes:
         assert set(doc.keys()) == {"config", "records", "summary", "version", "duration_seconds"}
         assert doc["summary"]["pass"] is True
 
+    def test_sharpness_at_a_million_coordinates_exits_zero(self, tmp_path):
+        out = tmp_path / "sharpness.json"
+        assert main(["sharpness", "--n", "1048576", "--samples", "100000", "--output", str(out)]) == 0
+        (record,) = json.loads(out.read_text())["records"]
+        assert (record["n"], record["gamma"]) == (2**20, 2.0)
+
     def test_non_centered_stein_check_exits_zero(self, tmp_path):
         doc = {
             "generator": "explicit",

@@ -61,6 +61,15 @@ class TestMCEstimate:
         with pytest.raises(InvalidInput):
             estimate_from_values(np.array([1.0]))
 
+    def test_equal_values_give_their_value_exactly(self):
+        # numpy's mean of 0.1 repeated 7 times is 0.09999999999999999, its sd 5.7e-18.
+        for value in (0.1, -2.7, 1e-300, 3.0e300, 0.0):
+            for count in (2, 7, 1000, SHARD_ROWS + 3):
+                est = estimate_from_values(np.full(count, value))
+                assert (est.value, est.stderr) == (value, 0.0), (value, count)
+        est = expected_max_mc(validate_spec(np.full(3, 0.1), np.zeros((3, 3))), 7, 1)
+        assert (est.value, est.stderr) == (0.1, 0.0)
+
 
 class TestExpectedMaxMC:
     def test_degenerate_law_is_exact(self):
@@ -284,6 +293,6 @@ class TestPairedStderrProperty:
     def test_gap_stderr_lies_between_the_difference_and_the_sum(self, n, kinds, samples, seed):
         x, y = _pair_laws(n, kinds, seed)
         est_x, est_y, gap = empirical_gap(x, y, samples, seed)
-        # 1e-12 relative to the size of the maxima: a constant law's sample sd is rounding-level, not 0.
+        # 1e-12 relative to the size of the maxima: c - m has the sample sd of m only up to rounding.
         slack = 1e-12 * (abs(est_x.value) + abs(est_y.value) + est_x.stderr + est_y.stderr)
         assert abs(est_x.stderr - est_y.stderr) - slack <= gap.stderr <= est_x.stderr + est_y.stderr + slack

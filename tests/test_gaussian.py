@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from sudfer import (
@@ -23,8 +25,8 @@ from sudfer import (
     validate_spec,
 )
 from sudfer import gaussian
-from sudfer.experiments import ExperimentConfig, run_bound_check, run_sharpness
-from sudfer.gaussian import PSD_RTOL, SHARD_ROWS, check_seed, common_draw_values, means_equal
+from sudfer.experiments import ExperimentConfig, iid_standard_spec, run_bound_check, run_sharpness, zero_spec
+from sudfer.gaussian import PSD_RTOL, SHARD_ROWS, check_seed, common_draw_values, is_iid, means_equal
 
 
 def row_max(rows):
@@ -322,7 +324,7 @@ class TestCommonDrawValues:
                 z = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))).standard_normal((rows, n))
                 for lo in range(0, rows, blocks[0]):
                     block = z[lo : lo + blocks[0]]
-                    shards.append(block @ spec.factor.T if spec is dense else block * np.sqrt(np.diag(spec.covariance)))
+                    shards.append(block @ spec.factor.T if spec is dense else block * np.sqrt(spec.covariance))
             return np.concatenate(shards) + spec.mean
 
         for order in ([diag], [dense], [dense, diag], [diag, dense], [diag, zero], [zero, diag, other], [zero, dense]):
@@ -477,6 +479,130 @@ class TestStructuredLaws:
         assert np.array_equal(sample(spec, SHARD_ROWS + 1, seed=11)[:3], expected)
 
 
+class TestVarianceLaws:
+    # A law with a 1-d factor stores its covariance 1-d, as its variances, however it was given.
+
+    def test_variances_and_their_diagonal_matrix_make_one_law(self):
+        rng = np.random.default_rng(30)
+        for variances in (rng.uniform(0.1, 3.0, 5), np.zeros(4), np.full(3, 2.0), np.array([7.0])):
+            mean = rng.standard_normal(len(variances))
+            a, b = validate_spec(mean, variances), validate_spec(mean, np.diag(variances))
+            for spec in (a, b):
+                assert spec.covariance.shape == spec.factor.shape == (len(variances),)
+                assert np.array_equal(spec.covariance, variances)
+                assert not spec.covariance.flags.writeable
+            assert np.array_equal(a.factor, b.factor)
+            assert np.array_equal(sample(a, 300, seed=31), sample(b, 300, seed=31))
+            assert np.array_equal(increment_matrix(a), increment_matrix(b))
+
+    def test_the_stored_covariance_has_the_factor_dimensions(self):
+        rng = np.random.default_rng(32)
+        laws = [random_psd_spec(rng, 4), validate_spec(np.zeros(3), np.ones((3, 3))), validate_spec([0.0], [[2.0]])]
+        laws += [random_spec(5, seed, generator) for seed in range(3) for generator in ("wishart", "equicorrelated", "diagonal")]
+        laws += [validate_spec(np.zeros(3), d) for d in ([0.0, 1.0, 2.0], [2.0, 0.0, 1.0], [-1e-12, 1.0, 1.0])]
+        for spec in laws:
+            assert spec.covariance.ndim == spec.factor.ndim
+        assert [spec.factor.ndim for spec in laws[-3:]] == [1, 2, 1]
+
+    def test_other_variances_keep_the_matrix_path(self):
+        # Mixed zero and positive variances, or rounding-level negative ones, are decided by the n x n path,
+        # errors included; a 1-d input gets exactly what its diagonal matrix gets.
+        for variances in ([2.0, 0.0, 1.0], [0.0, 1.0, 2.0], [-1e-12, 1.0, 3.0], [1.0, -1e-12, 3.0]):
+            a, b = validate_spec(np.ones(3), variances), validate_spec(np.ones(3), np.diag(variances))
+            assert np.array_equal(a.covariance, b.covariance) and np.array_equal(a.factor, b.factor), variances
+            assert np.array_equal(sample(a, 50, seed=33), sample(b, 50, seed=33))
+        for bad in ([1.0, -0.5], [-1.0]):
+            for cov in (bad, np.diag(bad)):
+                with pytest.raises(NotPSD):
+                    validate_spec(np.zeros(len(bad)), cov)
+
+    def test_rejects_malformed_variances(self):
+        with pytest.raises(DimensionMismatch):
+            validate_spec(np.zeros(3), np.ones(2))
+        with pytest.raises(DimensionMismatch):
+            validate_spec(np.zeros(2), np.ones((2, 2, 2)))
+        with pytest.raises(DimensionMismatch):
+            validate_spec(np.zeros(1), np.float64(1.0))
+        with pytest.raises(InvalidInput):
+            validate_spec(np.zeros(2), [1.0, np.inf])
+        with pytest.raises(InvalidInput):
+            validate_spec(np.zeros(2), [1.0, 1.0j])
+
+    def test_blending_a_diagonal_law_with_a_dense_one_blends_the_matrices(self):
+        # Variances never broadcast against a matrix: the blend is the entrywise combination of the two matrices.
+        rng = np.random.default_rng(34)
+        dense = random_psd_spec(rng, 4)
+        diag = validate_spec(dense.mean, rng.uniform(0.5, 2.0, 4))
+        for x, y in ((diag, dense), (dense, diag)):
+            blend = blended_spec(x, y, 0.25)
+            cov = [np.diag(s.covariance) if s.covariance.ndim == 1 else s.covariance for s in (x, y)]
+            assert np.array_equal(blend.covariance, 0.75 * cov[0] + 0.25 * cov[1])
+        both = blended_spec(diag, validate_spec(dense.mean, np.full(4, 3.0)), 0.5)
+        assert np.array_equal(both.covariance, 0.5 * diag.covariance + 0.5 * np.full(4, 3.0))
+
+    def test_building_the_iid_law_costs_linear_memory(self, traced_peak):
+        # The mean, the variances and the factor: three n-long arrays, and no n x n one (8 TiB at 2^20).
+        n = 2**20
+        spec, peak = traced_peak(lambda: iid_standard_spec(n))
+        assert spec.covariance.shape == (n,) and is_iid(spec)
+        assert peak <= 4 * 8 * n
+        _, peak = traced_peak(lambda: zero_spec(n))
+        assert peak <= 4 * 8 * n
+
+
+def _law(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    mean = rng.standard_normal(n)
+    if kind == "diagonal":
+        return validate_spec(mean, rng.uniform(0.1, 4.0, n))
+    if kind == "zero":
+        return validate_spec(mean, np.zeros(n))
+    a = rng.standard_normal((n, n))
+    return validate_spec(mean, (a @ a.T + (a @ a.T).T) / 2.0)
+
+
+class TestDrawProperties:
+    @given(
+        kind=st.sampled_from(["diagonal", "zero"]),
+        n=st.one_of(st.integers(1, 40), st.just(300)),  # at n = 300 a shard splits into blocks of 1747 rows
+        counts=st.lists(st.integers(1, SHARD_ROWS + 2000), min_size=2, max_size=3),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_diagonal_and_zero_laws_agree_on_every_prefix_and_chunking(self, kind, n, counts, seed):
+        spec = _law(kind, n, seed % 2**32)
+        longest = max(counts)
+        rows = sample(spec, longest, seed)
+        for count in counts:
+            (short,) = common_draw_values([(spec, np.asarray)], count, seed)
+            assert np.array_equal(short, rows[:count])
+            (maxima,) = common_draw_values([(spec, row_max)], count, seed)  # reduced block by block
+            assert np.array_equal(maxima, rows[:count].max(axis=1))
+
+    @given(
+        kinds=st.lists(st.sampled_from(["diagonal", "zero", "dense"]), min_size=2, max_size=4),
+        n=st.integers(1, 12),
+        count=st.integers(1, SHARD_ROWS + 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_fused_call_equals_the_separate_calls(self, kinds, n, count, seed):
+        laws = [(_law(kind, n, seed + j), row_max if j % 2 else np.asarray) for j, kind in enumerate(kinds)]
+        fused = common_draw_values(laws, count, seed)
+        for law, values in zip(laws, fused):
+            assert np.array_equal(values, common_draw_values([law], count, seed)[0])
+
+    @given(
+        variances=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=30).map(np.array),
+        zero=st.booleans(),
+        count=st.integers(1, 600),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_law_from_its_variances_samples_as_from_its_diagonal_matrix(self, variances, zero, count, seed):
+        variances = 0.0 * variances if zero else variances
+        mean = np.linspace(-1.0, 1.0, len(variances))
+        a, b = validate_spec(mean, variances), validate_spec(mean, np.diag(variances))
+        assert np.array_equal(sample(a, count, seed), sample(b, count, seed))
+
+
 class TestLawObject:
     def test_dense_law_needs_no_eigendecomposition(self, monkeypatch):
         def eigen(*args, **kwargs):
@@ -621,4 +747,6 @@ class TestBlendedSpec:
             y = validate_spec(x.mean, random_psd_spec(rng, n).covariance)
             t = float(rng.uniform())
             cov = blended_spec(x, y, t).covariance
+            if cov.ndim == 1:  # a law of one coordinate stores its variance
+                cov = np.diag(cov)
             assert np.linalg.eigvalsh(cov)[0] >= -PSD_RTOL * (1.0 + np.trace(cov))

@@ -23,6 +23,7 @@ from sudfer import (
     stein_residuals,
     validate_spec,
 )
+from sudfer import experiments
 from sudfer.estimator import estimate_from_values
 from sudfer.gaussian import SHARD_ROWS, blended_spec
 from sudfer.interpolation import FD_STEP_CAP, stein_residual_values
@@ -100,7 +101,7 @@ class TestPhi:
         y = validate_spec(np.zeros(2), 3.0 * np.eye(2))
         blended = blended_spec(x, y, 0.25)
         assert np.array_equal(blended.mean, np.zeros(2))
-        assert np.array_equal(blended.covariance, 1.5 * np.eye(2))
+        assert np.array_equal(blended.covariance, np.full(2, 1.5))  # two diagonal laws blend their variances
 
     def test_monotone_endpoints_for_dominated_pairs(self):
         params = SmoothMaxParams(1.0)
@@ -171,6 +172,17 @@ class TestExplicitDerivative:
         for t in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(DomainError):
                 phi_derivative(x, x, SmoothMaxParams(1.0), t, 100, seed=1)
+
+
+class TestDerivativeMemory:
+    def test_a_diagonal_pair_holds_one_difference_matrix(self, traced_peak):
+        # gY - gX is written panel by panel into one n x n array (32 MiB at n = 2048), and the
+        # blended laws store their variances, so the peak stays under two such arrays.
+        n = 2048
+        x, y = experiments.zero_spec(n), experiments.iid_standard_spec(n)
+        point, peak = traced_peak(lambda: phi_derivative(x, y, SmoothMaxParams(2.0), 0.5, 64, 1))
+        assert point.explicit.value > 0.0  # Y = N(0, I) dominates the zero law
+        assert peak <= 2 * n * n * 8
 
 
 class TestFiniteDifferenceDerivative:
@@ -343,6 +355,14 @@ class TestSteinResiduals:
         rows = sample(spec, 3000, 87)
         expected = rows * smooth_max(rows, params)[:, None] - softmax(rows, params) @ spec.covariance
         assert np.array_equal(stein_residual_values(spec, params, 3000, 87), expected)
+
+    def test_a_diagonal_law_keeps_its_residual_bytes(self):
+        # Stored variances d multiply the gradient entrywise: bitwise the dense product with diag(d).
+        spec = validate_spec(np.zeros(5), np.random.default_rng(86).uniform(0.1, 3.0, 5))
+        params = SmoothMaxParams(1.5)
+        rows = sample(spec, 3000, 88)
+        expected = rows * smooth_max(rows, params)[:, None] - softmax(rows, params) @ np.diag(spec.covariance)
+        assert np.array_equal(stein_residual_values(spec, params, 3000, 88), expected)
 
     def test_functional_and_gradient_must_travel_together(self):
         spec = iid_spec(2)
