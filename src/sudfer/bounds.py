@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGamma, DegenerateN, DimensionMismatch, DomainError, InvalidInput
-from .gaussian import GaussianSpec, _difference_panels, is_iid, means_equal
+from .gaussian import GaussianSpec, _difference_panels, _iid_variance, means_equal
 
 
 @dataclass(frozen=True)
@@ -112,17 +112,16 @@ def certify(spec_x: GaussianSpec, spec_y: GaussianSpec) -> BoundCertificate:
 
 
 def _iid_difference(spec_x: GaussianSpec, spec_y: GaussianSpec) -> np.ndarray | None:
-    """The distinct entries of gY - gX when both laws are iid with equal variances, else None.
+    """The distinct entries of gY - gX when both laws store equal variances and a constant mean, else None.
 
-    Such a law's increments are v + v off the diagonal (its mean gaps are 0)
-    and 0 on it, so gY - gX holds 0 and, for n >= 2, the one number
-    (vY + vY) - (vX + vX): its max and signs are the panels', bitwise.  The
-    variances must be equal, not only the factor: sqrt can round two
-    neighbouring variances to one factor entry.
+    Such a law's increments are v + v off the diagonal and 0 on it, so gY - gX
+    holds 0 and, for n >= 2, the one number (vY + vY) - (vX + vX): its max and
+    signs are the panels', bitwise.
     """
-    if not all(is_iid(s) and s.covariance.min() == s.covariance.max() for s in (spec_x, spec_y)):
+    vx, vy = _iid_variance(spec_x), _iid_variance(spec_y)
+    if vx is None or vy is None:
         return None
-    gx, gy = (2.0 * float(s.covariance[0]) for s in (spec_x, spec_y))
+    gx, gy = vx + vx, vy + vy
     if math.isinf(gx) or math.isinf(gy):
         raise InvalidInput("increment entries must be finite: the law's scale overflows float64")
     return np.array([0.0, gy - gx][: min(spec_x.n, 2)])

@@ -25,7 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput
-from .gaussian import GaussianSpec, check_count, check_seed, common_draw_values, derive_seed, iid_maxima, is_iid
+from .gaussian import (
+    GaussianSpec,
+    _covariance_matrix,
+    check_count,
+    check_seed,
+    common_draw_values,
+    derive_seed,
+    iid_maxima,
+    is_iid,
+)
 
 
 @dataclass(frozen=True)
@@ -91,9 +100,8 @@ def expected_max_bivariate_exact(spec: GaussianSpec) -> float:
     if spec.n != 2:
         raise DimensionMismatch(f"closed form needs n = 2, got n = {spec.n}")
     mu1, mu2 = (float(m) for m in spec.mean)
-    c = spec.covariance
-    # Stored variances have cov[0, 1] = 0, and subtracting 2 * 0 changes no bit.
-    theta_sq = float(c[0] + c[1] if c.ndim == 1 else c[0, 0] + c[1, 1] - 2.0 * c[0, 1])
+    c = _covariance_matrix(spec)
+    theta_sq = float(c[0, 0] + c[1, 1] - 2.0 * c[0, 1])
     if theta_sq <= 0.0:
         # V1 - V2 is a.s. constant: the max is just the larger mean.
         return mu1 if mu1 >= mu2 else mu2

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import certify
-from .errors import ConfigError, SudferError, UnknownGenerator
+from .errors import ConfigError, DimensionMismatch, SudferError, UnknownGenerator
 from .estimator import empirical_gap, estimate_from_values
 from .gaussian import GaussianSpec, blended_spec, check_seed, common_draw_values, derive_seed, validate_spec
 from .interpolation import DEFAULT_GRID, phi_derivative, stein_residuals
@@ -86,8 +86,7 @@ def _constant_spec(n: int, variance: float) -> GaussianSpec:
 
 
 def spec_from_document(doc: dict) -> GaussianSpec:
-    """Parse {"mean": [...], "covariance": [[...], ...]} into a validated spec; a flat
-    "covariance" list holds the variances of independent coordinates.
+    """Parse {"mean": [...], "covariance": [[...], ...]} into a validated spec.
     Every entry must be a finite real number: bools, strings and nulls are not coerced."""
     try:
         mean = doc["mean"]
@@ -97,6 +96,9 @@ def spec_from_document(doc: dict) -> GaussianSpec:
     bad = [v for v in _entries(mean) + _entries(cov) if not _is_finite_real(v)]
     if bad:
         raise ConfigError(f"explicit spec entries must be finite real numbers, got {bad[0]!r}")
+    if isinstance(cov, (list, tuple)) and not any(isinstance(row, (list, tuple)) for row in cov):
+        # GaussianSpec also takes 1-d variances; a document gives its covariance as rows.
+        raise DimensionMismatch(f"explicit spec covariance must be a list of rows, got {cov!r}")
     return validate_spec(mean, cov)
 
 

@@ -164,6 +164,32 @@ def is_iid(spec: GaussianSpec) -> bool:
     return factor.ndim == 1 and factor.min() == factor.max() and mean.min() == mean.max()
 
 
+def _iid_variance(spec: GaussianSpec) -> float | None:
+    """The one variance of a law that stores equal variances and has a constant mean, else None.
+
+    Such a law's increments are v + v off the diagonal and 0 on it.  The test
+    reads the variances, which the increments depend on, not the factor that
+    :func:`is_iid` reads for draws: sqrt can round two neighbouring variances
+    to one factor entry.
+    """
+    cov, mean = spec.covariance, spec.mean
+    if cov.ndim == 1 and cov.min() == cov.max() and mean.min() == mean.max():
+        return float(cov[0])
+    return None
+
+
+def _covariance_matrix(spec: GaussianSpec) -> np.ndarray:
+    """The n x n covariance; a law that stores its variances gets their diagonal matrix built."""
+    cov = spec.covariance
+    return np.diag(cov) if cov.ndim == 1 else cov
+
+
+def _covariance_times(spec: GaussianSpec, g: np.ndarray) -> np.ndarray:
+    """``g @ covariance``; stored variances d give g * d, bitwise (every other term of the product is 0)."""
+    cov = spec.covariance
+    return g * cov if cov.ndim == 1 else g @ cov
+
+
 def increment_matrix(spec: GaussianSpec) -> np.ndarray:
     """Read-only increment matrix g[i,j] = cov[i,i]+cov[j,j]-2cov[i,j]+(mu_i-mu_j)^2.
 
@@ -397,10 +423,8 @@ def means_equal(spec_x: GaussianSpec, spec_y: GaussianSpec) -> bool:
     """Equal-means hypothesis check, with a relative floating-point band."""
     if spec_x.n != spec_y.n:
         raise DimensionMismatch(f"dimensions differ: {spec_x.n} vs {spec_y.n}")
-    # max |mu| is max(max mu, -min mu), exactly; the gap holds one n-long temporary.
-    scale = max(float(m) for mean in (spec_x.mean, spec_y.mean) for m in (mean.max(), -mean.min()))
-    gap = np.subtract(spec_x.mean, spec_y.mean)
-    return bool(np.abs(gap, out=gap).max() <= MEAN_RTOL * (1.0 + scale))
+    scale = max(float(np.max(np.abs(spec_x.mean))), float(np.max(np.abs(spec_y.mean))))
+    return bool(np.max(np.abs(spec_x.mean - spec_y.mean)) <= MEAN_RTOL * (1.0 + scale))
 
 
 def blended_spec(spec_x: GaussianSpec, spec_y: GaussianSpec, t: float) -> GaussianSpec:
@@ -422,5 +446,5 @@ def blended_spec(spec_x: GaussianSpec, spec_y: GaussianSpec, t: float) -> Gaussi
     s = 1.0 - t
     cov_x, cov_y = spec_x.covariance, spec_y.covariance
     if cov_x.ndim != cov_y.ndim:  # a 1-d law against a dense one: blend its matrix, never broadcast its variances
-        cov_x, cov_y = (np.diag(c) if c.ndim == 1 else c for c in (cov_x, cov_y))
+        cov_x, cov_y = _covariance_matrix(spec_x), _covariance_matrix(spec_y)
     return GaussianSpec(s * spec_x.mean + t * spec_y.mean, s * cov_x + t * cov_y)

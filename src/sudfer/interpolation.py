@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInput
 from .estimator import MCEstimate, estimate_from_values
-from .gaussian import GaussianSpec, _difference_panels, blended_spec, common_draw_values
+from .gaussian import GaussianSpec, _covariance_times, _difference_panels, blended_spec, common_draw_values
 from .smoothmax import SmoothMaxParams, _smooth_max_rows, _softmax_rows, smooth_max, softmax
 
 # Cap on the half-width of the central finite-difference step.
@@ -146,13 +146,11 @@ def stein_residual_values(
         raise InvalidInput("functional and gradient must be overridden together")
     if functional is None:  # the public functions copy their input: residual reads its rows after both
         functional, gradient = partial(smooth_max, params=params), partial(softmax, params=params)
-    cov = spec.covariance
 
     def residual(rows: np.ndarray) -> np.ndarray:
         f = np.asarray(functional(rows), dtype=np.float64)
         g = np.asarray(gradient(rows), dtype=np.float64)
-        # Stored variances d: g @ diag(d) is g * d, bitwise (every other term of the product is 0).
-        return (rows - spec.mean) * f[:, None] - (g * cov if cov.ndim == 1 else g @ cov)
+        return (rows - spec.mean) * f[:, None] - _covariance_times(spec, g)
 
     return common_draw_values([(spec, residual)], samples, seed)[0]
 

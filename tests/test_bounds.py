@@ -287,11 +287,14 @@ class TestCertify:
 
     def test_peaks_below_one_square_array(self, traced_peak):
         # The iid pair takes one scalar; unequal variances walk the row panels.
+        # Against the zero law, gamma is the largest off-diagonal increment of x, the sum of its two largest variances.
         n = 2048
         y = zero_spec(n)
-        for x in (iid_spec(n), random_spec(n, 5, "diagonal")):
+        diag = random_spec(n, 5, "diagonal")
+        for x, want in ((iid_spec(n), 2.0), (diag, float(np.sort(diag.covariance)[-2:].sum()))):
             cert, peak = traced_peak(lambda: certify(x, y))
-            assert cert.gamma >= 2.0 * 0.1 and cert.dominates_yx
+            assert cert.gamma == want
+            assert (cert.dominates_xy, cert.dominates_yx) == (False, True)
             assert peak < n * n * 8
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from sudfer import (
     ConfigError,
+    DimensionMismatch,
     ExperimentConfig,
     SmoothMaxParams,
     UnknownGenerator,
@@ -149,6 +150,12 @@ class TestExperimentConfig:
         assert spec.n == 2
         with pytest.raises(ConfigError):
             spec_from_document({"mean": [0.0]})
+
+    def test_explicit_spec_needs_covariance_rows(self):
+        # A law may store its variances 1-d, but a document gives its covariance as rows.
+        for cov in ([1.0, 1.0], [], 1.0):
+            with pytest.raises(DimensionMismatch):
+                spec_from_document({"mean": [0.0, 0.0], "covariance": cov})
 
     @pytest.mark.parametrize(
         "experiment, with_y, expected",

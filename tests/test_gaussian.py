@@ -498,7 +498,8 @@ class TestVarianceLaws:
     def test_the_stored_covariance_has_the_factor_dimensions(self):
         rng = np.random.default_rng(32)
         laws = [random_psd_spec(rng, 4), validate_spec(np.zeros(3), np.ones((3, 3))), validate_spec([0.0], [[2.0]])]
-        laws += [random_spec(5, seed, generator) for seed in range(3) for generator in ("wishart", "equicorrelated", "diagonal")]
+        generators = ("wishart", "equicorrelated", "diagonal")
+        laws += [random_spec(5, seed, generator) for seed in range(3) for generator in generators]
         laws += [validate_spec(np.zeros(3), d) for d in ([0.0, 1.0, 2.0], [2.0, 0.0, 1.0], [-1e-12, 1.0, 1.0])]
         for spec in laws:
             assert spec.covariance.ndim == spec.factor.ndim

@@ -25,7 +25,7 @@ from sudfer import (
 )
 from sudfer import experiments
 from sudfer.estimator import estimate_from_values
-from sudfer.gaussian import SHARD_ROWS, blended_spec
+from sudfer.gaussian import SHARD_ROWS, _covariance_matrix, blended_spec
 from sudfer.interpolation import FD_STEP_CAP, stein_residual_values
 from sudfer.smoothmax import smooth_max
 
@@ -40,7 +40,8 @@ def zero_spec(n):
 
 def path_report(x, y, beta, grid, samples, seed):
     """run_path_diagnostics on the explicit pair (x, y): one trial, fixed beta."""
-    docs = [{"mean": s.mean.tolist(), "covariance": s.covariance.tolist()} for s in (x, y)]
+    # A document gives the covariance as rows, also for a law that stores its variances.
+    docs = [{"mean": s.mean.tolist(), "covariance": _covariance_matrix(s).tolist()} for s in (x, y)]
     config = ExperimentConfig(
         experiment="path-diagnostics",
         trials=1,
