@@ -79,7 +79,19 @@ def _maxima(specs: list[GaussianSpec], samples: int, seed: int) -> list[np.ndarr
     if all(is_iid(s) for s in specs):
         m = iid_maxima(specs[0].n, samples, seed) if any(s.factor[0] for s in specs) else None
         return [s.mean[0] + s.factor[0] * m if s.factor[0] else np.full(samples, s.mean[0]) for s in specs]
-    return common_draw_values([(s, lambda rows: rows.max(axis=1)) for s in specs], samples, seed)
+    return common_draw_values([(s, _row_max) for s in specs], samples, seed)
+
+
+def _row_max(rows: np.ndarray) -> np.ndarray:
+    """``rows.max(axis=1)``.  Below 32 columns the columns are folded by np.maximum into one buffer instead,
+    which beats numpy's per-row reduction loop; the value is the same, bitwise except that a tie between
+    -0.0 and +0.0 may keep the other zero (a law's rows hold -0.0 only where its mean has one)."""
+    if rows.shape[1] >= 32:
+        return rows.max(axis=1)
+    m = rows[:, 0].copy()
+    for j in range(1, rows.shape[1]):
+        np.maximum(m, rows[:, j], out=m)
+    return m
 
 
 def expected_max_mc(spec: GaussianSpec, samples: int, seed: int) -> MCEstimate:

@@ -4,9 +4,15 @@ and their report builders.
 Every run is a pure function of its config: per-trial seeds are derived
 from (config.seed, trial index), so reruns reproduce the report body byte
 for byte.  Verdicts are 3-sigma Monte Carlo checks recomputable from the
-stored numbers alone, and each summary is computed from the records;
-multi-test summaries pass at a 99% bar to absorb the expected
-false-positive rate.
+stored numbers alone, and each summary is computed from the records.
+Each runner has its own pass rule:
+
+- sharpness: every n passes and the ratios do not fall beyond noise;
+- bound-check: every trial with equal means passes (others are skipped);
+- path-diagnostics: every grid point is consistent, and a dominated pair
+  also passes every sign check and its endpoint monotonicity;
+- stein-check: at least 99% of the coordinate verdicts pass, which absorbs
+  the expected rate of 3-sigma false alarms over many coordinates.
 """
 
 from __future__ import annotations

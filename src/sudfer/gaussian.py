@@ -33,6 +33,10 @@ every O(n^3) step, and built from their variances they cost O(n).
 :func:`iid_maxima` draws the maximum of n iid standard normals without the
 vector: one uniform per draw, inverted through Phi^n with Wichura's AS241,
 from the same per-shard substreams, so its memory and time do not grow with n.
+AS241 evaluates one branch per draw: each of its three rational
+approximations (central, near tail, far tail) runs only on the draws that
+fall in it, with no gather or scatter when one branch holds a whole shard:
+the near tail holds nearly every shard for n from 256 to about 10^5.
 """
 
 from __future__ import annotations
@@ -354,48 +358,70 @@ def sample(spec: GaussianSpec, count: int, seed: int) -> np.ndarray:
 
 
 # Wichura's AS241 (PPND16), Applied Statistics 37 (1988) 477-484: Phi^-1 by rational approximations, relative
-# error about 1e-16.  Each tuple lists a polynomial's coefficients from the constant term up.
-_PPND16_CENTRAL = (
+# error about 1e-16.  Each table's rows are a numerator's and a denominator's coefficients, constant term first.
+_PPND16_CENTRAL = np.array((
     (3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3, 1.3731693765509461125e4,
      4.5921953931549871457e4, 6.7265770927008700853e4, 3.3430575583588128105e4, 2.5090809287301226727e3),
     (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
      2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4, 5.2264952788528545610e3),
-)
-_PPND16_NEAR_TAIL = (
+))
+_PPND16_NEAR_TAIL = np.array((
     (1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0, 3.64784832476320460504e0,
      1.27045825245236838258e0, 2.41780725177450611770e-1, 2.27238449892691845833e-2, 7.74545014278341407640e-4),
     (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
      1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4, 1.05075007164441684324e-9),
-)
-_PPND16_FAR_TAIL = (
+))
+_PPND16_FAR_TAIL = np.array((
     (6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0, 2.96560571828504891230e-1,
      2.65321895265761230930e-2, 1.24266094738807843860e-3, 2.71155556874348757815e-5, 2.01033439929228813265e-7),
     (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
      7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7, 2.04426310338993978564e-15),
-)
+))
 
 
-def _rational(coefficients: tuple[tuple[float, ...], tuple[float, ...]], r: np.ndarray) -> np.ndarray:
-    numerator = denominator = 0.0
-    for a, b in zip(*(reversed(c) for c in coefficients)):  # Horner's rule
-        numerator = numerator * r + a
-        denominator = denominator * r + b
-    return numerator / denominator
+def _horner(coefficients: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """numerator(r) / denominator(r) for a (2, k) coefficient table, both by Horner's rule in one (2, m) buffer.
+
+    Each step multiplies and adds in place, in the order ``numerator * r + a`` would: the same bits, with no
+    per-step temporaries.
+    """
+    nd = np.multiply(coefficients[:, -1:], r)
+    for i in range(coefficients.shape[1] - 2, 0, -1):
+        nd += coefficients[:, i : i + 1]
+        nd *= r
+    nd += coefficients[:, :1]
+    return nd[0] / nd[1]
+
+
+def _piecewise(inside: np.ndarray, f: Callable, g: Callable, *args: np.ndarray) -> np.ndarray:
+    """f(*args) where ``inside`` holds and g(*args) elsewhere, each evaluated on its own entries only.
+
+    When one side holds every entry, it is evaluated on the arrays themselves, with no gather or scatter.
+    """
+    if inside.all():
+        return f(*args)
+    if not inside.any():
+        return g(*args)
+    out = np.empty(inside.shape)
+    out[inside] = f(*(a[inside] for a in args))
+    out[~inside] = g(*(a[~inside] for a in args))
+    return out
 
 
 def _ppnd16(p: np.ndarray) -> np.ndarray:
-    """Phi^-1(p) for p strictly inside (0, 1), entrywise (AS241)."""
+    """Phi^-1(p) for p strictly inside (0, 1), entrywise (AS241), each branch on its own entries only."""
     q = p - 0.5
-    x = np.empty_like(q)
-    central = np.abs(q) <= 0.425
-    qc = q[central]
-    x[central] = qc * _rational(_PPND16_CENTRAL, 0.180625 - qc * qc)
-    tail = ~central
-    r = np.sqrt(-np.log(np.minimum(p[tail], 1.0 - p[tail])))  # 1 - p is exact where it is the smaller
-    x[tail] = np.copysign(
-        np.where(r <= 5.0, _rational(_PPND16_NEAR_TAIL, r - 1.6), _rational(_PPND16_FAR_TAIL, r - 5.0)), q[tail]
-    )
-    return x
+    return _piecewise(np.abs(q) <= 0.425, _ppnd16_central, _ppnd16_tail, p, q)
+
+
+def _ppnd16_central(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return q * _horner(_PPND16_CENTRAL, 0.180625 - q * q)
+
+
+def _ppnd16_tail(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))  # 1 - p is exact where it is the smaller
+    near, far = (lambda r: _horner(_PPND16_NEAR_TAIL, r - 1.6)), (lambda r: _horner(_PPND16_FAR_TAIL, r - 5.0))
+    return np.copysign(_piecewise(r <= 5.0, near, far, r), q)
 
 
 def iid_maxima(n: int, count: int, seed: int) -> np.ndarray:

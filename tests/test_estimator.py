@@ -268,6 +268,31 @@ class TestEmpiricalGap:
         assert calls == [[x, y]]  # GaussianSpec compares by identity
 
 
+class TestNarrowRowMaxima:
+    """Rows of fewer than 32 columns are folded column by column; every other width keeps numpy's row max."""
+
+    def laws(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n))
+        dense = (a @ a.T + a.T @ a) / 2.0
+        flat = dense.copy()
+        flat[0, :] = flat[:, 0] = 0.0  # a zero-variance coordinate
+        mixed = np.diag(np.r_[0.0, rng.uniform(0.1, 3.0, n - 1)])  # zero and positive variances
+        mean = rng.standard_normal(n)
+        return [validate_spec(mean, dense), validate_spec(np.zeros(n), flat), validate_spec(np.zeros(n), mixed)]
+
+    def test_maxima_equal_the_row_max_bit_for_bit(self):
+        count = SHARD_ROWS + 77
+        for n in (2, 3, 7, 8, 9, 16, 31, 32, 33, 64):
+            laws = self.laws(n)
+            expected = common_draw_values([(spec, row_max) for spec in laws], count, seed=71)
+            for spec, want in zip(laws, expected):
+                (got,) = estimator._maxima([spec], count, seed=71)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+            for got, want in zip(estimator._maxima(laws[:2], count, seed=71), expected):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+
+
 def _pair_laws(n, kinds, seed):
     rng = np.random.default_rng(seed)
     for kind in kinds:

@@ -1,5 +1,6 @@
 """Gaussian law plumbing: validation, increments, sampling, blending."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -651,6 +652,43 @@ class TestIidMaxima:
         np.testing.assert_allclose(-gaussian._ppnd16(p), -ndtri(p), rtol=1e-14, atol=0.0)
         upper = 1.0 - p[p >= 2.0**-53]  # the upper half (0.5, 1); both functions see the same rounded 1 - p
         np.testing.assert_allclose(gaussian._ppnd16(upper), ndtri(upper), rtol=1e-14, atol=0.0)
+
+    # sha256 of iid_maxima(n, 3 * SHARD_ROWS + 5, seed): three full shards and a short one; central and tail draws
+    # share every shard at n <= 3, and n = 2^40 and 2^1000 reach the far tail.
+    GOLDEN = {
+        (1, 0): "3d5c28f90792c2f89e6dafddf050af3cb24e2180ca918b58b15b5e8a451d62ee",
+        (1, 7): "d75294aaf650ba63140896fc89346f8936e30abb4028cf78d86ba80defb38419",
+        (2, 0): "5700a08e567722b3f0e86b11056084ec40c1e631c19ea0dfa316432a3b1078ec",
+        (2, 7): "0d3e42b094021b013e8040aa45600237d50da8a1c709888cadfa4164237a9126",
+        (3, 0): "a8992d11d1f3bde5c8ef0bb018344fe058b14a5831b5e767b46a93d9b3665048",
+        (3, 7): "ffd939f65bafc7e7c8a292868b9c8b80ba33934f9bfd452f59bf42e7ecdd80c7",
+        (2**40, 0): "a7d09dd0e707cfac7c6d864ec340343cfed0e454c37057f05d0677f326805601",
+        (2**40, 7): "ff372739a1677cac3d79c16379d40c3bb59cbcd02c3c66321065b2258f691e1e",
+        (2**1000, 0): "5a60cfe6b820a16fcfec73c4acaad43aa04af3507aaecd5da9b5fa554cb85274",
+        (2**1000, 7): "df789266c6dd322d146653a9c4621f0b83e7f51d1a207d18f730fe741b828d69",
+    }
+
+    @pytest.mark.parametrize("n, seed", list(GOLDEN), ids=lambda v: str(v) if v < 2**64 else "2^1000")
+    def test_maxima_keep_their_bits(self, n, seed):
+        maxima = gaussian.iid_maxima(n, 3 * SHARD_ROWS + 5, seed)
+        assert hashlib.sha256(maxima.tobytes()).hexdigest() == self.GOLDEN[n, seed]
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                st.floats(0.0, 740.0).map(lambda t: math.exp(-t)),  # deep into the far tail
+                st.floats(1e-17, 36.0).map(lambda t: -math.expm1(-t)),  # the upper tail, up to 1 - 2^-52
+                st.sampled_from([np.nextafter(b, d) for b in (0.075, 0.925, math.exp(-25.0)) for d in (0.0, 1.0)]),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_each_entry_is_inverted_alone(self, p):
+        p = np.array([x for x in p if 0.0 < x < 1.0] or [0.5])
+        alone = np.concatenate([gaussian._ppnd16(p[i : i + 1]) for i in range(p.size)])
+        assert np.array_equal(gaussian._ppnd16(p).view(np.uint64), alone.view(np.uint64))
 
     def test_extreme_uniforms_give_finite_maxima(self, monkeypatch):
         class Extremes:

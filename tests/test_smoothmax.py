@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sudfer import (
     EmptyInput,
@@ -17,6 +19,10 @@ from sudfer import (
 )
 from sudfer.gaussian import SHARD_ROWS
 from sudfer.smoothmax import _smooth_max_rows, _softmax_rows
+
+
+vectors = st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=16).map(np.array)
+betas = st.floats(1e-3, 1e3).map(SmoothMaxParams)
 
 
 def random_inputs(rng, count, n_max=8, x_scale=1.0, beta_lo=0.5, beta_hi=2.0):
@@ -132,6 +138,12 @@ class TestHessian:
             assert np.array_equal(h, np.swapaxes(h, -1, -2))
             assert np.max(np.abs(h.sum(axis=-1))) <= 1e-12 * params.beta
 
+    @given(vectors, betas)
+    def test_rows_sum_to_zero_property(self, x, params):
+        h = smooth_max_hessian(x, params)
+        # Row i is b * p_i * (1 - sum p), up to n roundings of terms at most b * p_i.
+        assert np.all(np.abs(h.sum(axis=-1)) <= 4.0 * x.size * np.finfo(float).eps * params.beta)
+
     def test_matches_finite_differences_of_gradient(self):
         rng = np.random.default_rng(53)
         step = 1e-6
@@ -166,6 +178,12 @@ class TestSandwich:
             lower, upper = sandwich_gap(np.full(n, 1.5), SmoothMaxParams(beta))
             assert lower == pytest.approx(math.log(n) / beta, abs=1e-12)
             assert abs(upper) <= 1e-12
+
+    @given(vectors, betas)
+    def test_max_below_smooth_max_below_max_plus_log_n_over_beta(self, x, params):
+        m, f = float(x.max()), smooth_max(x, params)
+        # F = m + log(s)/b with 1 <= s <= n: the lower end is exact, the upper end holds up to one rounding.
+        assert m <= f <= np.nextafter(m + math.log(x.size) / params.beta, math.inf)
 
     def test_slack_sweep_never_negative(self):
         rng = np.random.default_rng(61)
