@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGamma, DegenerateN, DimensionMismatch, DomainError, InvalidInput
+from .errors import check_integer, check_real
 from .gaussian import GaussianSpec, _difference_panels, _iid_variance, means_equal
 
 
@@ -46,8 +47,7 @@ class BoundCertificate:
 
 def sf_bound(gamma: float, n: int) -> float:
     """sqrt(gamma * ln n): the certified width for the expected-max gap."""
-    if n < 1:
-        raise DegenerateN(f"n must be >= 1, got {n}")
+    gamma, n = check_real("gamma", gamma), check_integer("n", n, 1, error=DegenerateN)
     if gamma < 0:
         raise DegenerateGamma(f"gamma must be >= 0, got {gamma}")
     return math.sqrt(gamma * math.log(n))
@@ -55,10 +55,9 @@ def sf_bound(gamma: float, n: int) -> float:
 
 def beta_tradeoff_bound(beta: float, gamma: float, n: int) -> float:
     """The smoothing tradeoff b*gamma/4 + ln(n)/b at inverse temperature b."""
+    beta, gamma, n = check_real("beta", beta), check_real("gamma", gamma), check_integer("n", n, 1, error=DegenerateN)
     if not beta > 0:
         raise DomainError(f"beta must be > 0, got {beta}")
-    if n < 1:
-        raise DegenerateN(f"n must be >= 1, got {n}")
     if gamma < 0:
         raise DegenerateGamma(f"gamma must be >= 0, got {gamma}")
     return beta * gamma / 4.0 + math.log(n) / beta
@@ -70,10 +69,9 @@ def optimal_beta(gamma: float, n: int) -> float:
     Callers must branch on gamma == 0 themselves (the bound is 0 there and no
     finite smoothing is meaningful).
     """
+    gamma, n = check_real("gamma", gamma), check_integer("n", n, 2, error=DegenerateN)
     if not gamma > 0:
         raise DegenerateGamma(f"gamma must be > 0, got {gamma}")
-    if n < 2:
-        raise DegenerateN(f"n must be >= 2, got {n}")
     return 2.0 * math.sqrt(math.log(n) / gamma)
 
 

@@ -24,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInput
+from .errors import DimensionMismatch, InvalidInput, check_integer
 from .gaussian import (
     GaussianSpec,
     _covariance_matrix,
-    check_count,
     check_seed,
     common_draw_values,
     derive_seed,
@@ -69,11 +68,9 @@ def _maxima(specs: list[GaussianSpec], samples: int, seed: int) -> list[np.ndarr
     If every law is iid (a 1-d factor of equal entries sigma, a constant mean mu), no rows are built: the maxima
     are mu + sigma * M for one M = iid_maxima(n, samples, seed), or mu (nothing drawn) where sigma = 0.  Else every
     law reduces the rows of one common_draw_values call: uniforms and normals never share a substream.
+    The public callers' samples and seed are checked here: a constant law draws nothing that would check them.
     """
-    if samples < 2:
-        raise InvalidInput(f"samples must be >= 2, got {samples}")
-    check_count(samples)
-    check_seed(seed)
+    samples, seed = check_integer("samples", samples, 2), check_seed(seed)
     if len({spec.n for spec in specs}) != 1:
         raise DimensionMismatch(f"laws of one dimension needed, got dimensions {[spec.n for spec in specs]}")
     if all(is_iid(s) for s in specs):

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-import sys
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
@@ -29,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import certify
-from .errors import ConfigError, DimensionMismatch, SudferError, UnknownGenerator
+from .errors import ConfigError, DimensionMismatch, InvalidInput, UnknownGenerator, check_integer, check_real
 from .estimator import empirical_gap, estimate_from_values
 from .gaussian import GaussianSpec, blended_spec, check_seed, common_draw_values, derive_seed, validate_spec
 from .interpolation import DEFAULT_GRID, phi_derivative, stein_residuals
@@ -52,13 +50,12 @@ def random_spec(n: int, seed: int, generator: str) -> GaussianSpec:
     equicorrelated: (1-rho) I + rho 11^T with rho ~ U[0, 1)
     diagonal:       iid U[0.1, 2] variances, stored 1-d
     """
+    n = check_integer("n", n, 1, error=ConfigError)
     return validate_spec(np.zeros(n), _random_covariance(n, seed, generator))
 
 
 def _random_covariance(n: int, seed: int, generator: str) -> np.ndarray:
     """The covariance of ``random_spec(n, seed, generator)``, with no law built: 1-d variances for "diagonal"."""
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=check_seed(seed)))
     if generator == "wishart":
         a = rng.standard_normal((n, n))
@@ -88,6 +85,7 @@ def zero_spec(n: int) -> GaussianSpec:
 
 def _constant_spec(n: int, variance: float) -> GaussianSpec:
     # Stride-0 inputs: the law's own read-only copies are the only n-long arrays it allocates.
+    n = check_integer("n", n, 1, error=DimensionMismatch)
     return validate_spec(np.broadcast_to(0.0, n), np.broadcast_to(variance, n))
 
 
@@ -99,9 +97,11 @@ def spec_from_document(doc: dict) -> GaussianSpec:
         cov = doc["covariance"]
     except (TypeError, KeyError) as exc:
         raise ConfigError('explicit specs need "mean" and "covariance" keys') from exc
-    bad = [v for v in _entries(mean) + _entries(cov) if not _is_finite_real(v)]
-    if bad:
-        raise ConfigError(f"explicit spec entries must be finite real numbers, got {bad[0]!r}")
+    try:
+        for v in _entries(mean) + _entries(cov):
+            check_real("an explicit spec entry", v)
+    except InvalidInput as exc:
+        raise ConfigError(str(exc)) from exc
     if isinstance(cov, (list, tuple)) and not any(isinstance(row, (list, tuple)) for row in cov):
         # GaussianSpec also takes 1-d variances; a document gives its covariance as rows.
         raise DimensionMismatch(f"explicit spec covariance must be a list of rows, got {cov!r}")
@@ -124,19 +124,6 @@ def dominated_pair(n: int, seed: int, generator: str) -> tuple[GaussianSpec, Gau
     return spec_x, validate_spec(spec_x.mean, spec_x.covariance + noise)
 
 
-def _integer(name: str, value: Any) -> int:
-    """``value`` as a plain int; floats and bools are rejected, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _is_finite_real(value: Any) -> bool:
-    """True for ints and floats within the float range; bools, strings and None
-    are not coerced, and nan, inf and larger ints cannot become finite floats."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment run depends on.
@@ -145,7 +132,9 @@ class ExperimentConfig:
     through the list trial by trial.  ``beta`` is either a positive float or
     "auto" (resolved per trial via the optimal tradeoff beta when the pair
     has a positive discrepancy).  ``spec_x``/``spec_y`` hold inline
-    mean/covariance documents for the "explicit" generator.
+    mean/covariance documents for the "explicit" generator, and any other
+    generator refuses them.  ``output_path`` is a string or None (stdout).
+    Every bad field raises ConfigError.
     """
 
     experiment: str
@@ -168,40 +157,36 @@ class ExperimentConfig:
             raise ConfigError(f"generator must be one of {GENERATORS}, got {self.generator!r}")
         if self.format not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}, got {self.format!r}")
-        for name in ("samples", "trials", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if self.samples < 2:
-            raise ConfigError(f"samples must be >= 2, got {self.samples}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        try:
-            check_seed(self.seed)
-        except SudferError as exc:
-            raise ConfigError(str(exc)) from exc
-        if isinstance(self.n, (list, tuple)):
-            if not self.n:
-                raise ConfigError("n must hold at least one dimension, got an empty list")
-            object.__setattr__(self, "n", tuple(_integer("n", v) for v in self.n))
-        elif self.n is not None:
-            object.__setattr__(self, "n", _integer("n", self.n))
-        for v in self.n_list(default=(1,)):
-            if v < 1:
-                raise ConfigError(f"n values must be >= 1, got {v}")
-        if not isinstance(self.grid, (list, tuple, np.ndarray)) or not all(map(_is_finite_real, self.grid)):
-            raise ConfigError(f"grid must be a list of finite real numbers, got {self.grid!r}")
-        grid = tuple(float(t) for t in self.grid)
-        if self.experiment == "path-diagnostics":
-            if not grid:
-                raise ConfigError("path-diagnostics needs a nonempty grid")
-            if not all(0.0 < t < 1.0 for t in grid):
-                raise ConfigError(f"grid points must lie strictly inside (0, 1), got {grid}")
-        object.__setattr__(self, "grid", grid)
-        if self.beta != "auto":
-            if not (_is_finite_real(self.beta) and self.beta > 0.0):
-                raise ConfigError(f'beta must be "auto" or a positive float, got {self.beta!r}')
-            object.__setattr__(self, "beta", float(self.beta))
+        if not (self.output_path is None or isinstance(self.output_path, str)):
+            raise ConfigError(f"output_path must be a string or null, got {self.output_path!r}")
         if self.generator == "explicit" and self.spec_x is None:
             raise ConfigError('generator "explicit" needs an inline "spec_x" document')
+        if self.generator != "explicit" and (self.spec_x is not None or self.spec_y is not None):
+            raise ConfigError(f'spec_x and spec_y need generator "explicit", got generator {self.generator!r}')
+        if isinstance(self.n, (list, tuple)) and not self.n:
+            raise ConfigError("n must hold at least one dimension, got an empty list")
+        if not isinstance(self.grid, (list, tuple, np.ndarray)):
+            raise ConfigError(f"grid must be a list of finite real numbers, got {self.grid!r}")
+        try:  # every number, checked once; a bad one is a ConfigError
+            object.__setattr__(self, "samples", check_integer("samples", self.samples, 2))
+            object.__setattr__(self, "trials", check_integer("trials", self.trials, 1))
+            object.__setattr__(self, "seed", check_seed(self.seed))
+            if isinstance(self.n, (list, tuple)):
+                object.__setattr__(self, "n", tuple(check_integer("n", v, 1) for v in self.n))
+            elif self.n is not None:
+                object.__setattr__(self, "n", check_integer("n", self.n, 1))
+            object.__setattr__(self, "grid", tuple(check_real("a grid point", t) for t in self.grid))
+            if self.beta != "auto":
+                object.__setattr__(self, "beta", check_real("beta", self.beta))
+        except InvalidInput as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.experiment == "path-diagnostics":
+            if not self.grid:
+                raise ConfigError("path-diagnostics needs a nonempty grid")
+            if not all(0.0 < t < 1.0 for t in self.grid):
+                raise ConfigError(f"grid points must lie strictly inside (0, 1), got {self.grid}")
+        if self.beta != "auto" and not self.beta > 0.0:
+            raise ConfigError(f'beta must be "auto" or a positive float, got {self.beta!r}')
 
     def n_list(self, default: tuple[int, ...]) -> tuple[int, ...]:
         if self.n is None:

@@ -42,7 +42,6 @@ the near tail holds nearly every shard for n from 256 to about 10^5.
 from __future__ import annotations
 
 import contextlib
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -56,6 +55,8 @@ from .errors import (
     MeanMismatch,
     NotPSD,
     NotSymmetric,
+    check_integer,
+    check_real,
 )
 
 # Relative PSD tolerance: eigenvalues down to -PSD_RTOL*(1+trace) are treated
@@ -69,8 +70,6 @@ MEAN_RTOL = 1e-9
 # results are identical no matter how the shards are produced or consumed.
 SHARD_ROWS = 8192
 
-_MAX_SEED = 2**64
-
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.float64, order="C")  # always a private copy
@@ -79,18 +78,8 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
 
 
 def check_seed(seed: int) -> int:
-    """Validate a 64-bit unsigned seed and return it as a plain int."""
-    s = int(seed)
-    if s != seed or not (0 <= s < _MAX_SEED):
-        raise InvalidInput(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    return s
-
-
-def check_count(count: int) -> int:
-    """Validate a draw count: an integer >= 1 (a bool or a float is refused)."""
-    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-        raise InvalidInput(f"count must be an integer >= 1, got {count!r}")
-    return int(count)
+    """A 64-bit unsigned seed as a plain int."""
+    return check_integer("seed", seed, 0, 2**64 - 1)
 
 
 def derive_seed(seed: int, *path: int) -> int:
@@ -99,7 +88,8 @@ def derive_seed(seed: int, *path: int) -> int:
     Used for every internal stream split (per-trial seeds, per-law seeds),
     so that one experiment seed determines all downstream randomness.
     """
-    ss = np.random.SeedSequence(entropy=check_seed(seed), spawn_key=tuple(int(p) for p in path))
+    spawn_key = tuple(check_integer("path entry", p, 0) for p in path)
+    ss = np.random.SeedSequence(entropy=check_seed(seed), spawn_key=spawn_key)
     lo, hi = (int(w) for w in ss.generate_state(2, np.uint32))
     return lo | (hi << 32)
 
@@ -315,8 +305,7 @@ def common_draw_values(
     ``reduce`` may modify its rows or return a view of them, which the result
     copies; neither reaches another law or block.
     """
-    check_count(count)
-    check_seed(seed)
+    count, seed = check_integer("count", count, 1), check_seed(seed)
     dimensions = {spec.n for spec, _ in laws}
     if len(dimensions) != 1:
         raise DimensionMismatch(f"common draws need laws of one dimension, got dimensions {sorted(dimensions)}")
@@ -433,10 +422,7 @@ def iid_maxima(n: int, count: int, seed: int) -> np.ndarray:
     q stays positive and every maximum is finite.  Shard k draws its uniforms from the generator derived from
     (seed, k), as ``common_draw_values`` draws its normals: prefixes agree and chunking cannot change the result.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not (1 <= n <= 2**1000):
-        raise InvalidInput(f"n must be an integer in [1, 2^1000], got {n!r}")
-    count = check_count(count)
-    check_seed(seed)
+    n, count, seed = check_integer("n", n, 1, 2**1000), check_integer("count", count, 1), check_seed(seed)
     maxima = np.empty(count)
     for k, first in enumerate(range(0, count, SHARD_ROWS)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
@@ -463,6 +449,7 @@ def blended_spec(spec_x: GaussianSpec, spec_y: GaussianSpec, t: float) -> Gaussi
     inputs themselves are returned, factor included, so endpoints round-trip
     bit-identically and a clamped law is never clamped twice.
     """
+    t = check_real("t", t)
     if not (0.0 <= t <= 1.0):
         raise DomainError(f"t must lie in [0, 1], got {t}")
     if not means_equal(spec_x, spec_y):

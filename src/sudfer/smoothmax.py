@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidInput
+from .errors import EmptyInput, InvalidInput, check_real
 
 
 @dataclass(frozen=True)
@@ -41,14 +41,17 @@ class SmoothMaxParams:
     beta: float
 
     def __post_init__(self) -> None:
-        b = float(self.beta)
-        if not (math.isfinite(b) and b > 0.0):
+        b = check_real("beta", self.beta)
+        if not b > 0.0:
             raise InvalidInput(f"beta must be finite and > 0, got {self.beta!r}")
         object.__setattr__(self, "beta", b)
 
 
 def _check_vectors(x) -> np.ndarray:
-    a = np.array(x, dtype=np.float64)  # always a private copy
+    try:
+        a = np.array(x, dtype=np.float64)  # always a private copy
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"entries must be real numbers: {exc}") from exc
     if a.ndim == 0 or a.shape[-1] == 0:
         raise EmptyInput("need at least one coordinate")
     if not np.isfinite(a).all():

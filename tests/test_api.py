@@ -1,6 +1,7 @@
 """Source-level checks in place of a linter: no unused imports or private
 helpers in the package, ``sudfer.__all__`` lists exactly the public names,
-and the benchmark tracer's layers name functions that exist."""
+scalar arguments are type-checked in one module only, and the benchmark
+tracer's layers name functions that exist."""
 
 import ast
 import importlib
@@ -73,6 +74,17 @@ def test_all_lists_exactly_the_public_names():
     }
     assert len(sudfer.__all__) == len(set(sudfer.__all__))
     assert set(sudfer.__all__) == public
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_the_errors_module_reads_the_numbers_abcs(path):
+    # errors.check_integer and errors.check_real are the package's only type checks of a scalar argument: a module
+    # that imports ``numbers`` is hand-rolling a third.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    uses = "numbers" in set(imported_names(tree)) | used_names(tree) | {
+        node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+    }
+    assert uses == (path.name == "errors.py")
 
 
 # The only layers allowed to name a missing function: the tracer still points

@@ -225,6 +225,19 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert proc.stderr == "error: increment entries must be finite: the law's scale overflows float64\n"
 
+    @pytest.mark.parametrize("value", [True, 1, 2])
+    def test_output_path_must_be_a_string_or_null(self, tmp_path, value):
+        # Any other value would reach open() as a file descriptor: true and 1 are stdout, 2 is stderr.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n": 4, "samples": 2000, "output_path": value}))
+        src = Path(__file__).resolve().parents[1] / "src"
+        argv = [sys.executable, "-m", "sudfer.cli", "sharpness", "--config", str(path)]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: output_path must be a string or null, got {value!r}\n"
+
     def test_csv_output(self, tmp_path):
         out = tmp_path / "report.csv"
         code = main(

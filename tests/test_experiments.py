@@ -139,6 +139,15 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="bound-check", generator="explicit")
 
+    def test_inline_specs_need_the_explicit_generator(self):
+        # Another generator would ignore them, yet the report would echo them next to its own laws.
+        doc = {"mean": [5.0, 5.0], "covariance": [[9.0, 0.0], [0.0, 9.0]]}
+        for field in ("spec_x", "spec_y"):
+            with pytest.raises(ConfigError, match="explicit"):
+                ExperimentConfig(experiment="bound-check", n=2, trials=1, samples=100, **{field: doc})
+        config = ExperimentConfig(experiment="bound-check", generator="explicit", trials=1, samples=100, spec_x=doc)
+        assert config.echo()["spec_x"] == doc
+
     @pytest.mark.parametrize("experiment", experiments.EXPERIMENTS)
     def test_empty_dimension_list_is_rejected(self, experiment):
         with pytest.raises(ConfigError, match="n must hold at least one dimension"):

@@ -653,6 +653,16 @@ class TestIidMaxima:
         upper = 1.0 - p[p >= 2.0**-53]  # the upper half (0.5, 1); both functions see the same rounded 1 - p
         np.testing.assert_allclose(gaussian._ppnd16(upper), ndtri(upper), rtol=1e-14, atol=0.0)
 
+    def test_r_of_exactly_five_takes_the_near_tail(self):
+        # AS241 takes the near-tail rational for r = sqrt(-ln p) <= 5.  At this p, r is 5.0 exactly, and the two
+        # tail rationals differ in their last bits there: a branch on r < 5 gives the far tail's value.
+        p = np.array([1.3887943864963948e-11])
+        assert np.sqrt(-np.log(p))[0] == 5.0
+        near = -gaussian._horner(gaussian._PPND16_NEAR_TAIL, np.array([5.0 - 1.6]))[0]
+        far = -gaussian._horner(gaussian._PPND16_FAR_TAIL, np.array([5.0 - 5.0]))[0]
+        assert (near, far) == (-6.6579046435011024, -6.657904643501103)
+        assert gaussian._ppnd16(p)[0] == near
+
     # sha256 of iid_maxima(n, 3 * SHARD_ROWS + 5, seed): three full shards and a short one; central and tail draws
     # share every shard at n <= 3, and n = 2^40 and 2^1000 reach the far tail.
     GOLDEN = {

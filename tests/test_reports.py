@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sudfer import ExperimentReport, InvalidInput, render, render_csv, render_json, write_report
 from sudfer.reports import format_float
@@ -26,6 +28,18 @@ class TestFloatRendering:
         values = list(rng.standard_normal(200)) + [0.1, 1e-300, 1e300, -2.5e-17, 123456789.123456]
         for x in values:
             assert float(format_float(float(x))) == float(x)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(-0.0)
+    @example(5e-324)
+    @example(2.0**53 + 2.0)
+    def test_json_round_trips_every_finite_float(self, x):
+        (record,) = json.loads(render_json(tiny_report([{"x": x}])))["records"]
+        if x == 0.0 and math.copysign(1.0, x) < 0.0:
+            # The one exception: -0.0 renders as "-0", which JSON parses as the int 0.
+            assert record["x"] == 0 and isinstance(record["x"], int)
+        else:
+            assert np.float64(float(record["x"])).view(np.uint64) == np.float64(x).view(np.uint64)
 
     def test_rejects_non_finite(self):
         for bad in (math.inf, -math.inf, math.nan):
