@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateGamma, DegenerateN, DimensionMismatch, DomainError, InvalidInput
 from .errors import check_integer, check_real
-from .gaussian import GaussianSpec, _difference_panels, _iid_variance, means_equal
+from .gaussian import GaussianSpec, _difference_panels, is_iid, means_equal
 
 
 @dataclass(frozen=True)
@@ -110,15 +110,15 @@ def certify(spec_x: GaussianSpec, spec_y: GaussianSpec) -> BoundCertificate:
 
 
 def _iid_difference(spec_x: GaussianSpec, spec_y: GaussianSpec) -> np.ndarray | None:
-    """The distinct entries of gY - gX when both laws store equal variances and a constant mean, else None.
+    """The distinct entries of gY - gX when both laws are iid (:func:`is_iid`), else None.
 
-    Such a law's increments are v + v off the diagonal and 0 on it, so gY - gX
+    An iid law's increments are v + v off the diagonal and 0 on it, so gY - gX
     holds 0 and, for n >= 2, the one number (vY + vY) - (vX + vX): its max and
     signs are the panels', bitwise.
     """
-    vx, vy = _iid_variance(spec_x), _iid_variance(spec_y)
-    if vx is None or vy is None:
+    if not (is_iid(spec_x) and is_iid(spec_y)):
         return None
+    vx, vy = float(spec_x.covariance[0]), float(spec_y.covariance[0])
     gx, gy = vx + vx, vy + vy
     if math.isinf(gx) or math.isinf(gy):
         raise InvalidInput("increment entries must be finite: the law's scale overflows float64")

@@ -1,4 +1,4 @@
-"""Semantic exception hierarchy, and the two checks every scalar argument goes through.
+"""Semantic exception hierarchy, and the checks every numeric argument goes through.
 
 Public functions raise these instead of bare ValueError/IndexError so callers
 can distinguish contract violations (bad input) from numerical degeneracies.
@@ -6,7 +6,10 @@ Every public integer argument (a dimension, a count, a seed) passes
 :func:`check_integer` and every real one (beta, gamma, t) :func:`check_real`,
 once, at the public entry point: each returns a plain int or float, and
 refuses bools, strings, None, nan, +-inf and ints beyond the float range with
-InvalidInput, never with a traceback or a silent coercion.
+InvalidInput, never with a traceback or a silent coercion.  Every array
+argument (a mean, a covariance, smooth-max input) passes
+:func:`check_real_array`, which applies check_real to each entry of a list,
+refuses arrays of any dtype but integer and float, and refuses nan and +-inf.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+
+import numpy as np
 
 
 class SudferError(Exception):
@@ -88,3 +93,27 @@ def check_real(name: str, value) -> float:
     if not abs(v) <= sys.float_info.max:
         raise InvalidInput(f"{name} must be a finite real number, got {value!r}")
     return float(v)
+
+
+def check_real_array(name: str, value) -> np.ndarray:
+    """``value`` as a float64 array (no copy of one) of finite entries, none coerced: an ndarray must have an
+    integer or float dtype, and nested lists and tuples are checked entry by entry (check_real, or this dtype
+    rule for an array among them).  Ragged nesting, nan and +-inf raise InvalidInput too."""
+    _check_real_entries(name, value)
+    try:
+        a = np.asarray(value, dtype=np.float64)
+    except ValueError as exc:
+        raise InvalidInput(f"{name} must be an array of real numbers: {exc}") from exc
+    if not np.isfinite(a).all():
+        raise InvalidInput(f"{name} entries must be finite")
+    return a
+
+
+def _check_real_entries(name: str, value) -> None:
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            _check_real_entries(name, item)
+    elif not isinstance(value, np.ndarray):
+        check_real(f"an entry of {name}", value)
+    elif value.dtype.kind not in "iuf":
+        raise InvalidInput(f"{name} must hold real numbers, got an array of dtype {value.dtype}")

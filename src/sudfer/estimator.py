@@ -65,9 +65,9 @@ def estimate_from_values(values: np.ndarray) -> MCEstimate:
 def _maxima(specs: list[GaussianSpec], samples: int, seed: int) -> list[np.ndarray]:
     """Per-draw maxima of laws of one dimension, all from ``seed``, so they are coupled draw by draw.
 
-    If every law is iid (a 1-d factor of equal entries sigma, a constant mean mu), no rows are built: the maxima
-    are mu + sigma * M for one M = iid_maxima(n, samples, seed), or mu (nothing drawn) where sigma = 0.  Else every
-    law reduces the rows of one common_draw_values call: uniforms and normals never share a substream.
+    If every law is iid (equal variances, so one factor entry sigma, and a constant mean mu), no rows are built:
+    the maxima are mu + sigma * M for one M = iid_maxima(n, samples, seed), or mu (nothing drawn) where sigma = 0.
+    Else every law reduces the rows of one common_draw_values call: uniforms and normals never share a substream.
     The public callers' samples and seed are checked here: a constant law draws nothing that would check them.
     """
     samples, seed = check_integer("samples", samples, 2), check_seed(seed)

@@ -91,26 +91,16 @@ def _constant_spec(n: int, variance: float) -> GaussianSpec:
 
 def spec_from_document(doc: dict) -> GaussianSpec:
     """Parse {"mean": [...], "covariance": [[...], ...]} into a validated spec.
-    Every entry must be a finite real number: bools, strings and nulls are not coerced."""
+    Every entry must be a finite real number: bools, strings and nulls are not coerced (GaussianSpec's rule)."""
     try:
         mean = doc["mean"]
         cov = doc["covariance"]
     except (TypeError, KeyError) as exc:
         raise ConfigError('explicit specs need "mean" and "covariance" keys') from exc
-    try:
-        for v in _entries(mean) + _entries(cov):
-            check_real("an explicit spec entry", v)
-    except InvalidInput as exc:
-        raise ConfigError(str(exc)) from exc
     if isinstance(cov, (list, tuple)) and not any(isinstance(row, (list, tuple)) for row in cov):
         # GaussianSpec also takes 1-d variances; a document gives its covariance as rows.
         raise DimensionMismatch(f"explicit spec covariance must be a list of rows, got {cov!r}")
     return validate_spec(mean, cov)
-
-
-def _entries(value: Any) -> list:
-    """The leaves of nested lists (``value`` itself when it is not a list)."""
-    return [leaf for item in value for leaf in _entries(item)] if isinstance(value, (list, tuple)) else [value]
 
 
 def dominated_pair(n: int, seed: int, generator: str) -> tuple[GaussianSpec, GaussianSpec]:
@@ -176,7 +166,7 @@ class ExperimentConfig:
             elif self.n is not None:
                 object.__setattr__(self, "n", check_integer("n", self.n, 1))
             object.__setattr__(self, "grid", tuple(check_real("a grid point", t) for t in self.grid))
-            if self.beta != "auto":
+            if not (isinstance(self.beta, str) and self.beta == "auto"):  # != on an array would not be a bool
                 object.__setattr__(self, "beta", check_real("beta", self.beta))
         except InvalidInput as exc:
             raise ConfigError(str(exc)) from exc

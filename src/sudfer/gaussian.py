@@ -1,9 +1,10 @@
 """Finite-dimensional Gaussian laws: validation, increments, sampling, blending.
 
-A law is a mean vector plus a symmetric PSD covariance.  A law whose factor
-is 1-d (a diagonal law: iid, zero, independent coordinates) stores its
-covariance 1-d too, as its n variances, and holds no n x n array; every other
-law stores the n x n matrix.  The module also computes the increment matrix
+A law is a mean vector plus a symmetric PSD covariance.  A diagonal
+covariance, given as variances or as a matrix, is stored as its variances (a
+diagonal law: iid, zero, independent coordinates), with a 1-d factor and no
+n x n array; every other law stores the n x n matrix.  The module also
+computes the increment matrix
 
     g[i, j] = E (V_i - V_j)^2 = cov[i,i] + cov[j,j] - 2 cov[i,j] + (mu_i - mu_j)^2
 
@@ -27,8 +28,9 @@ into a second, both reused; the last diagonal law is transformed in place when
 no later law draws, so a lone diagonal law holds one 4 MiB buffer whatever n
 is.  Per-row values go into one result per law, preallocated.  Each law is
 checked and factored once, when its GaussianSpec is built, by one
-decomposition (:func:`_factor`); diagonal laws (the iid and zero laws) skip
-every O(n^3) step, and built from their variances they cost O(n).
+decomposition (:func:`_factor`); a diagonal law is decided on its variances
+alone, whatever their signs, skips every O(n^3) step, and built from its
+variances costs O(n).
 
 :func:`iid_maxima` draws the maximum of n iid standard normals without the
 vector: one uniform per draw, inverted through Phi^n with Wichura's AS241,
@@ -57,6 +59,7 @@ from .errors import (
     NotSymmetric,
     check_integer,
     check_real,
+    check_real_array,
 )
 
 # Relative PSD tolerance: eigenvalues down to -PSD_RTOL*(1+trace) are treated
@@ -101,12 +104,12 @@ class GaussianSpec:
     ``covariance`` is either the n x n matrix or a 1-d array of n variances,
     the covariance of independent coordinates.  Construction checks shapes,
     finiteness and exact symmetry, then makes the one PSD decision
-    (:func:`_factor`): rounding-level negative eigenvalues are clamped to zero
-    in the stored covariance, larger ones raise NotPSD.  ``factor`` is a
-    read-only L with L @ L.T equal to the stored covariance, 1-d when L is
-    diagonal; every draw of the law is mean + L z.  The stored covariance has
-    the factor's number of dimensions: a law with a 1-d factor keeps its
-    variances and no n x n array, however it was given.
+    (:func:`_factor`): rounding-level negative eigenvalues (or variances) are
+    clamped to zero in the stored covariance, larger ones raise NotPSD.
+    ``factor`` is a read-only L with L @ L.T equal to the stored covariance;
+    every draw of the law is mean + L z.  A diagonal covariance, given as
+    variances or as a matrix, is stored as its variances d, with the 1-d
+    factor sqrt(d) and no n x n array; every other law keeps both n x n.
     """
 
     mean: np.ndarray
@@ -114,13 +117,7 @@ class GaussianSpec:
     factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        try:
-            if np.iscomplexobj(self.mean) or np.iscomplexobj(self.covariance):
-                raise TypeError("complex entries are not truncated to their real part")
-            mean = np.asarray(self.mean, dtype=np.float64)
-            cov = np.asarray(self.covariance, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInput(f"mean/covariance must be arrays of real numbers: {exc}") from exc
+        mean, cov = check_real_array("mean", self.mean), check_real_array("covariance", self.covariance)
         if mean.ndim != 1 or cov.ndim not in (1, 2):
             raise DimensionMismatch(
                 f"mean must be 1-d and covariance 2-d (or 1-d variances), got shapes {mean.shape} and {cov.shape}"
@@ -130,10 +127,8 @@ class GaussianSpec:
             raise DimensionMismatch("need at least one coordinate")
         if cov.shape != (n,) * cov.ndim:
             raise DimensionMismatch(f"covariance shape {cov.shape} does not match mean length {n}")
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise InvalidInput("mean/covariance entries must be finite")
-        if cov.ndim == 2 and _is_diagonal(cov):
-            cov = np.diagonal(cov)
+        if cov.ndim == 2 and np.count_nonzero(cov) == np.count_nonzero(np.diagonal(cov)):  # one O(n^2) scan
+            cov = np.diagonal(cov)  # no nonzero off-diagonal entry: the law is stored as its variances
         elif cov.ndim == 2 and not np.array_equal(cov, cov.T):
             raise NotSymmetric("covariance is not exactly symmetric as stored")
         cov, factor = _factor(cov)
@@ -153,23 +148,15 @@ def validate_spec(mean, covariance) -> GaussianSpec:
 
 
 def is_iid(spec: GaussianSpec) -> bool:
-    """True when the law draws iid coordinates: a 1-d factor of equal entries and a constant mean."""
-    factor, mean = spec.factor, spec.mean
-    return factor.ndim == 1 and factor.min() == factor.max() and mean.min() == mean.max()
+    """True when the law draws iid coordinates: stored equal variances and a constant mean.
 
-
-def _iid_variance(spec: GaussianSpec) -> float | None:
-    """The one variance of a law that stores equal variances and has a constant mean, else None.
-
-    Such a law's increments are v + v off the diagonal and 0 on it.  The test
-    reads the variances, which the increments depend on, not the factor that
-    :func:`is_iid` reads for draws: sqrt can round two neighbouring variances
-    to one factor entry.
+    Equal variances have equal square roots, so the factor is constant too.
+    The test reads the variances, on which the increments depend: sqrt can
+    round two neighbouring variances to one factor entry, and such a law's
+    off-diagonal increments are not all one number.
     """
     cov, mean = spec.covariance, spec.mean
-    if cov.ndim == 1 and cov.min() == cov.max() and mean.min() == mean.max():
-        return float(cov[0])
-    return None
+    return cov.ndim == 1 and cov.min() == cov.max() and mean.min() == mean.max()
 
 
 def _covariance_matrix(spec: GaussianSpec) -> np.ndarray:
@@ -229,44 +216,48 @@ def _difference_panels(spec_x: GaussianSpec, spec_y: GaussianSpec) -> Iterator[t
         yield lo, _increments(spec_y, lo, lo + panel) - _increments(spec_x, lo, lo + panel)
 
 
-def _is_diagonal(a: np.ndarray) -> bool:
-    """True when ``a`` has no nonzero off-diagonal entry: one O(n^2) scan."""
-    return np.count_nonzero(a) == np.count_nonzero(np.diagonal(a))
-
-
 def _factor(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The one PSD decision: ``(cov, factor)`` with factor @ factor.T equal to cov.
 
     ``cov`` is an n x n matrix with a nonzero off-diagonal entry, or the 1-d
-    variances of a diagonal one.  All-positive or all-zero variances get
-    sqrt(variances), bitwise what Cholesky gives.  Other variances (zero and
-    positive mixed, negative ones) go on as their n x n matrix, like any other
-    matrix: one Cholesky, else one eigendecomposition that rejects an
-    eigenvalue below -PSD_RTOL*(1+trace) with NotPSD and clamps negative ones
-    above it to zero, in the covariance and the factor alike.  When both the
-    factor and the covariance come out diagonal, both are returned 1-d.
+    variances of a diagonal one.  Variances are the eigenvalues of their own
+    diagonal matrix: they get :func:`_psd_clamped` and their square roots,
+    both 1-d, with no n x n step.  A matrix gets one Cholesky, else one
+    eigendecomposition whose eigenvalues get :func:`_psd_clamped`; a clamped
+    matrix is rebuilt from them, in the covariance and the factor alike.
     """
     if cov.ndim == 1:
-        if float(cov.min()) > 0.0 or not cov.any():
-            return cov, np.sqrt(cov)
-        cov = np.diag(cov)
+        cov = _psd_clamped(cov, cov)
+        return cov, np.sqrt(cov)
     with contextlib.suppress(np.linalg.LinAlgError):
         return cov, np.linalg.cholesky(cov)
     try:
         w, v = np.linalg.eigh(cov)
     except np.linalg.LinAlgError as exc:
         raise FactorizationFailure(f"eigendecomposition did not converge: {exc}") from exc
-    tol = PSD_RTOL * (1.0 + float(np.trace(cov)))
-    if float(w[0]) < -tol:
-        raise NotPSD(f"covariance has eigenvalue {float(w[0]):.6g} below tolerance {-tol:.6g}")
-    if float(w[0]) < 0.0:
-        w = np.maximum(w, 0.0)
-        cov = (v * w) @ v.T
+    clamped = _psd_clamped(w, np.diagonal(cov))
+    if clamped is not w:
+        cov = (v * clamped) @ v.T
         cov = (cov + cov.T) / 2.0  # exact symmetry after the matmul
-    factor = v * np.sqrt(w)
-    if _is_diagonal(factor) and _is_diagonal(cov):
-        return np.diagonal(cov), np.diagonal(factor).copy()
-    return cov, factor
+    return cov, v * np.sqrt(clamped)
+
+
+def _psd_clamped(w: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """The one PSD rule, for the eigenvalues ``w`` of a covariance with the given diagonal.
+
+    ``w`` itself when no entry is negative; else NotPSD for an entry below
+    -PSD_RTOL*(1+trace), and ``w`` with its negative entries clamped to zero.
+    The trace is summed only then, and an overflowing sum (an infinite
+    tolerance) prints no warning: the law's increments report the overflow.
+    """
+    low = float(w.min())
+    if low >= 0.0:
+        return w
+    with np.errstate(over="ignore"):
+        tol = PSD_RTOL * (1.0 + float(diagonal.sum()))
+    if low < -tol:
+        raise NotPSD(f"covariance has eigenvalue {low:.6g} below tolerance {-tol:.6g}")
+    return np.maximum(w, 0.0)
 
 
 def _panel_rows(n: int) -> int:

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import DomainError, InvalidInput, check_integer, check_real
 from .estimator import MCEstimate, estimate_from_values
 from .gaussian import GaussianSpec, _covariance_times, _difference_panels, blended_spec, common_draw_values
-from .smoothmax import SmoothMaxParams, _smooth_max_rows, _softmax_rows, smooth_max, softmax
+from .smoothmax import SmoothMaxParams, _check_params, _smooth_max_rows, _softmax_rows, smooth_max, softmax
 
 # Cap on the half-width of the central finite-difference step.
 FD_STEP_CAP = 1e-3
@@ -62,7 +62,7 @@ def phi(
     seed: int,
 ) -> MCEstimate:
     """Monte Carlo estimate of phi(t) = E F_b(Z_t), for t in [0, 1]."""
-    samples = check_integer("samples", samples, 2)
+    params, samples = _check_params(params), check_integer("samples", samples, 2)
     law = blended_spec(spec_x, spec_y, t)
     (values,) = common_draw_values([(law, partial(_smooth_max_rows, params=params))], samples, seed)
     return estimate_from_values(values)
@@ -87,7 +87,7 @@ def phi_derivative(
     below Monte Carlo noise at realistic sample counts; its stderr is that of
     the paired per-draw differences.
     """
-    t, samples = check_real("t", t), check_integer("samples", samples, 2)
+    params, t, samples = _check_params(params), check_real("t", t), check_integer("samples", samples, 2)
     if not (0.0 < t < 1.0):
         raise DomainError(f"t must lie strictly inside (0, 1), got {t}")
     diff = np.empty((spec_x.n, spec_x.n))
@@ -137,7 +137,7 @@ def stein_residual_values(
     residuals, which are zero in expectation for any C^1 functional of
     moderate growth; the default functional is the smooth max.
     """
-    samples = check_integer("samples", samples, 2)
+    params, samples = _check_params(params), check_integer("samples", samples, 2)
     if (functional is None) != (gradient is None):
         raise InvalidInput("functional and gradient must be overridden together")
     if functional is None:  # the public functions copy their input: residual reads its rows after both

@@ -16,7 +16,9 @@ overflow (large b times large spreads is the normal operating regime).
 
 All functions broadcast over leading axes: a (..., n) input is treated as a
 stack of vectors along the last axis.  Scalars and empty vectors are
-rejected with EmptyInput, nan and +-inf entries with InvalidInput.  The
+rejected with EmptyInput; nan and +-inf entries, entries that are not real
+numbers (errors.check_real_array) and a ``params`` that is not a
+SmoothMaxParams with InvalidInput.  The
 public functions work on one private float64 copy and never write to their
 input.  The smart-path estimators reduce their sample blocks with the
 private row reductions, which overwrite the block they are handed instead
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidInput, check_real
+from .errors import EmptyInput, InvalidInput, check_real, check_real_array
 
 
 @dataclass(frozen=True)
@@ -47,15 +49,18 @@ class SmoothMaxParams:
         object.__setattr__(self, "beta", b)
 
 
-def _check_vectors(x) -> np.ndarray:
-    try:
-        a = np.array(x, dtype=np.float64)  # always a private copy
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"entries must be real numbers: {exc}") from exc
+def _check_params(params) -> SmoothMaxParams:
+    if not isinstance(params, SmoothMaxParams):
+        raise InvalidInput(f"params must be a SmoothMaxParams, got {params!r}")
+    return params
+
+
+def _check_vectors(x, params) -> np.ndarray:
+    """A private float64 copy of ``x``, once ``params`` and every entry are checked."""
+    _check_params(params)
+    a = check_real_array("x", x).copy()
     if a.ndim == 0 or a.shape[-1] == 0:
         raise EmptyInput("need at least one coordinate")
-    if not np.isfinite(a).all():
-        raise InvalidInput("entries must be finite: nan or inf has no smooth max")
     return a
 
 
@@ -83,13 +88,13 @@ def _softmax_rows(rows: np.ndarray, params: SmoothMaxParams) -> np.ndarray:
 
 def smooth_max(x, params: SmoothMaxParams):
     """F_b(x) = max(x) + log(sum exp(b*(x - max)))/b, along the last axis."""
-    out = _smooth_max_rows(_check_vectors(x), params)
+    out = _smooth_max_rows(_check_vectors(x, params), params)
     return float(out) if out.ndim == 0 else out
 
 
 def softmax(x, params: SmoothMaxParams):
     """p_i(x) = exp(b*x_i) / sum_j exp(b*x_j), max-subtracted: the gradient of F_b."""
-    return _softmax_rows(_check_vectors(x), params)
+    return _softmax_rows(_check_vectors(x, params), params)
 
 
 def smooth_max_hessian(x, params: SmoothMaxParams):
@@ -109,7 +114,7 @@ def sandwich_gap(x, params: SmoothMaxParams):
     Returns (lower, upper) with lower = F_b(x) - max(x) and
     upper = log(n)/b - lower.  Both are >= 0 up to rounding.
     """
-    a = _check_vectors(x)
+    a = _check_vectors(x, params)
     n = a.shape[-1]
     lower = smooth_max(a, params) - a.max(axis=-1)
     upper = math.log(n) / params.beta - lower

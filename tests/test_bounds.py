@@ -336,12 +336,12 @@ class TestIidPairs:
                     certify(*pair)
 
     def test_a_constant_factor_over_unequal_variances_takes_the_panels(self):
-        # sqrt rounds the neighbours a and b to one factor entry, so the law draws iid coordinates, but its
-        # off-diagonal increment is a + b = b + b, not a + a: the scalar would be wrong, the panels are exact.
+        # sqrt rounds the neighbours a and b to one factor entry, but the law's off-diagonal increment is
+        # a + b = b + b, not a + a: is_iid reads the variances, so the scalar is never used, and the panels are exact.
         a = float.fromhex("0x1.338b43555b41dp+1")
         b = float(np.nextafter(a, np.inf))
         x = validate_spec(np.zeros(2), [a, b])
-        assert is_iid(x) and a + b != a + a
+        assert x.factor[0] == x.factor[1] and not is_iid(x) and a + b != a + a
         diff = -increment_oracle(x.mean, [a, b])
         cert = certify(x, zero_spec(2))
         assert cert.gamma == float(np.max(np.abs(diff))) == b + b

@@ -453,17 +453,16 @@ class TestStructuredLaws:
         assert np.array_equal(sample(spec, count, seed=6), np.concatenate(expected))
 
     def test_mixed_zero_and_positive_diagonal_keeps_its_draws(self):
-        # Unsorted, so the eigenvector factor permutes the normals; the
-        # values below pin the draws of that path.
-        spec = validate_spec([0.5, -1.0, 2.0], np.diag([2.0, 0.0, 1.0]))
-        golden = [
-            ["0x1.de88c4b049860p-1", "-0x1.0000000000000p+0", "0x1.588664fc971a6p+0"],
-            ["-0x1.72678b867b030p-2", "-0x1.0000000000000p+0", "0x1.451a9f4864bb4p+1"],
-            ["-0x1.541c52d8a69e6p-2", "-0x1.0000000000000p+0", "0x1.82e9f6e21eec8p+1"],
-        ]
-        expected = np.array([[float.fromhex(x) for x in row] for row in golden])
-        assert np.array_equal(sample(spec, 3, seed=11), expected)
-        assert np.array_equal(sample(spec, SHARD_ROWS + 1, seed=11)[:3], expected)
+        # Unsorted mixed variances draw mean_i + sqrt(d_i) z_i, coordinate by coordinate, like any diagonal law.
+        mean, variances = np.array([0.5, -1.0, 2.0]), np.array([2.0, 0.0, 1.0])
+        spec = validate_spec(mean, np.diag(variances))
+        count = SHARD_ROWS + 257
+        expected = []
+        for k, start in enumerate(range(0, count, SHARD_ROWS)):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=11, spawn_key=(k,)))
+            z = rng.standard_normal((min(SHARD_ROWS, count - start), 3))
+            expected.append(mean + np.sqrt(np.maximum(variances, 0.0)) * z)
+        assert np.array_equal(sample(spec, count, seed=11), np.concatenate(expected))
 
     def test_rank_one_law_keeps_its_draws(self):
         # Cholesky rejects the all-ones matrix; its factor comes from the one
@@ -504,15 +503,18 @@ class TestVarianceLaws:
         laws += [validate_spec(np.zeros(3), d) for d in ([0.0, 1.0, 2.0], [2.0, 0.0, 1.0], [-1e-12, 1.0, 1.0])]
         for spec in laws:
             assert spec.covariance.ndim == spec.factor.ndim
-        assert [spec.factor.ndim for spec in laws[-3:]] == [1, 2, 1]
+        assert [spec.factor.ndim for spec in laws[-3:]] == [1, 1, 1]
 
-    def test_other_variances_keep_the_matrix_path(self):
-        # Mixed zero and positive variances, or rounding-level negative ones, are decided by the n x n path,
-        # errors included; a 1-d input gets exactly what its diagonal matrix gets.
+    def test_other_variances_are_decided_on_their_own(self):
+        # Mixed zero and positive variances, or rounding-level negative ones, take the PSD rule as the eigenvalues
+        # of their diagonal matrix, errors included; a 1-d input gets exactly what its diagonal matrix gets.
         for variances in ([2.0, 0.0, 1.0], [0.0, 1.0, 2.0], [-1e-12, 1.0, 3.0], [1.0, -1e-12, 3.0]):
             a, b = validate_spec(np.ones(3), variances), validate_spec(np.ones(3), np.diag(variances))
             assert np.array_equal(a.covariance, b.covariance) and np.array_equal(a.factor, b.factor), variances
+            assert np.array_equal(a.covariance, np.maximum(variances, 0.0)) and a.factor.ndim == 1, variances
             assert np.array_equal(sample(a, 50, seed=33), sample(b, 50, seed=33))
+        # The tolerance's trace overflows here: it is clamped with no RuntimeWarning (an error under pytest).
+        assert validate_spec(np.zeros(3), [1e308, 1e308, -1e-300]).covariance[2] == 0.0
         for bad in ([1.0, -0.5], [-1.0]):
             for cov in (bad, np.diag(bad)):
                 with pytest.raises(NotPSD):
@@ -550,6 +552,57 @@ class TestVarianceLaws:
         assert peak <= 4 * 8 * n
         _, peak = traced_peak(lambda: zero_spec(n))
         assert peak <= 4 * 8 * n
+
+    def test_no_linear_algebra_on_a_diagonal_law(self, monkeypatch):
+        def decomposition(*args, **kwargs):
+            raise AssertionError("a diagonal law reached a decomposition")
+
+        for name in ("cholesky", "eigh"):
+            monkeypatch.setattr(np.linalg, name, decomposition)
+        for variances in ([2.0, 0.0, 1.0], [0.0, 1.0, 2.0], [1.0] * 6 + [0.0], [-1e-12, 1.0, 1.0]):
+            for cov in (np.array(variances), np.diag(variances)):
+                spec = validate_spec(np.zeros(len(variances)), cov)
+                assert spec.covariance.ndim == spec.factor.ndim == 1, variances
+
+    def test_a_zero_or_rounding_negative_variance_costs_linear_memory(self, traced_peak):
+        # No n x n array (32 MiB at n = 2048): the mean, the variances and the factor.
+        n = 2048
+        for position, value in ((0, 0.0), (n - 1, 0.0), (0, -1e-13)):
+            variances = np.ones(n)
+            variances[position] = value
+            spec, peak = traced_peak(lambda: validate_spec(np.zeros(n), variances))
+            assert spec.covariance.shape == spec.factor.shape == (n,), (position, value)
+            assert spec.covariance[position] == spec.factor[position] == 0.0
+            assert peak < 2**20, (position, value, peak)
+
+    @given(
+        codes=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(0.01, 0.99).map(lambda f: -f)),
+            min_size=1,
+            max_size=8,
+        ),
+        seed=st.integers(0, 2**32),
+    )
+    def test_variances_and_their_diagonal_matrix_take_one_psd_rule(self, codes, seed):
+        # A code c >= 0 is a variance; c < 0 makes a variance |c| of the way down to the tolerance
+        # -PSD_RTOL * (1 + sum(d)), which the negative entries themselves lower.
+        positive = [c for c in codes if c >= 0.0]
+        negatives = len(codes) - len(positive)
+        scale = PSD_RTOL * (1.0 + math.fsum(positive)) / (1.0 + negatives * PSD_RTOL)
+        d = np.array([c if c >= 0.0 else c * scale for c in codes])
+        mean = np.arange(len(d), dtype=np.float64)
+        a, b = validate_spec(mean, d), validate_spec(mean, np.diag(d))
+        root = np.sqrt(np.maximum(d, 0.0))
+        for spec in (a, b):
+            assert spec.covariance.shape == spec.factor.shape == d.shape
+            assert spec.covariance.tobytes() == np.maximum(d, 0.0).tobytes()
+            assert spec.factor.tobytes() == root.tobytes()
+        assert sample(a, 40, seed).tobytes() == sample(b, 40, seed).tobytes()
+        bad = d.copy()
+        bad[len(d) // 2] = -1.5 * PSD_RTOL * (1.0 + math.fsum(positive))  # below the tolerance of any such d
+        for cov in (bad, np.diag(bad)):
+            with pytest.raises(NotPSD):
+                validate_spec(mean, cov)
 
 
 def _law(kind, n, seed):

@@ -1,7 +1,10 @@
-"""Scalar arguments: every public integer and real argument is checked once, by
-errors.check_integer or errors.check_real.  A bool, a string, None, a float
-given as an integer, nan, inf or an int beyond the float range raises a
-SudferError, never a raw exception, and is never coerced to a number."""
+"""Numeric arguments: every public integer and real argument is checked once, by
+errors.check_integer or errors.check_real, and every array argument by
+errors.check_real_array.  A bool, a string, None, a float given as an
+integer, nan, inf or an int beyond the float range, as an argument or as an
+array entry, raises a SudferError, never a raw exception, and is never
+coerced to a number; so does a smooth-max ``params`` that is not a
+SmoothMaxParams."""
 
 import math
 
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 
 from sudfer import (
+    ExperimentConfig,
     SmoothMaxParams,
     SudferError,
     beta_tradeoff_bound,
@@ -24,9 +28,13 @@ from sudfer import (
     phi_derivative,
     random_spec,
     sample,
+    sandwich_gap,
     sf_bound,
     smooth_max,
+    smooth_max_hessian,
+    softmax,
     stein_residuals,
+    validate_spec,
     zero_spec,
 )
 from sudfer.errors import InvalidInput, check_integer, check_real
@@ -74,6 +82,27 @@ BAD_CALLS = {
     "dominated_pair float n": lambda: dominated_pair(2.5, 1, "wishart"),
     # smooth max
     "smooth_max string entry": lambda: smooth_max(["a"], P),
+    "smooth_max numeric string entry": lambda: smooth_max(["1.5"], P),
+    "smooth_max bool array": lambda: smooth_max(np.array([True, False]), P),
+    "smooth_max complex array": lambda: smooth_max(np.array([1.0 + 0j, 2.0]), P),
+    # array entries of a law
+    "validate_spec string mean, bool covariance": lambda: validate_spec(["1"], [[True]]),
+    "validate_spec bool in the mean": lambda: validate_spec([True, 1.5], np.eye(2)),
+    "validate_spec bool array mean": lambda: validate_spec(np.array([True, False]), np.eye(2)),
+    "validate_spec string array covariance": lambda: validate_spec(np.zeros(2), np.array(["1", "2"])),
+    "validate_spec complex array covariance": lambda: validate_spec(np.zeros(2), np.eye(2, dtype=complex)),
+    "validate_spec None variance": lambda: validate_spec(np.zeros(2), [1.0, None]),
+    "validate_spec int beyond float range": lambda: validate_spec([10**400], [[1.0]]),
+    # params that are not a SmoothMaxParams
+    "smooth_max float params": lambda: smooth_max([1.0, 2.0], 2.0),
+    "softmax float params": lambda: softmax([1.0, 2.0], 2.0),
+    "smooth_max_hessian None params": lambda: smooth_max_hessian([1.0, 2.0], None),
+    "sandwich_gap float params": lambda: sandwich_gap([1.0, 2.0], 2.0),
+    "phi float params": lambda: phi(X, Y, 2.0, 0.5, 10, 1),
+    "phi_derivative float params": lambda: phi_derivative(X, Y, 2.0, 0.5, 10, 1),
+    "stein_residuals float params": lambda: stein_residuals(SPEC, 2.0, 10, 1),
+    # config
+    "ExperimentConfig array beta": lambda: ExperimentConfig(experiment="sharpness", beta=np.array([1.0, 2.0])),
 }
 
 
@@ -90,6 +119,15 @@ def test_numpy_scalars_are_accepted_as_plain_numbers():
     assert SmoothMaxParams(np.float64(0.5)).beta == 0.5
     assert np.array_equal(blended_spec(X, Y, np.float64(0.25)).covariance, blended_spec(X, Y, 0.25).covariance)
     assert phi_derivative(X, Y, P, np.float64(0.5), np.int64(10), 1) == phi_derivative(X, Y, P, 0.5, 10, 1)
+
+
+def test_integer_and_float_arrays_and_lists_of_them_are_accepted():
+    spec = validate_spec(np.arange(2), [np.ones(2, dtype=np.int32), [np.float64(1.0), 2]])
+    assert spec.mean.tolist() == [0.0, 1.0] and spec.covariance.tolist() == [[1.0, 1.0], [1.0, 2.0]]
+    assert validate_spec(np.zeros(2), np.array([1, 3], dtype=np.uint8)).covariance.tolist() == [1.0, 3.0]
+    assert smooth_max(np.array([1.0, 2.0], dtype=np.float32), P) == smooth_max((1, 2.0), P)
+    config = ExperimentConfig(experiment="sharpness", beta=np.float64(2.0))
+    assert type(config.beta) is float and config.beta == 2.0
 
 
 @pytest.mark.parametrize("value", [True, np.bool_(False), "3", None, 3.0, 2.5, math.nan, math.inf, 10**400])
