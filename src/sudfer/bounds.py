@@ -82,7 +82,7 @@ def certify(spec_x: GaussianSpec, spec_y: GaussianSpec) -> BoundCertificate:
     pattern of one difference gY - gX, defined even when the means differ;
     ``means_equal`` records whether the comparison conclusions actually apply.
     Two iid laws with equal variances take O(1) steps (_iid_difference),
-    every other pair one pass over row panels of about 4 MiB.
+    every other pair one pass over row panels of about 1 MiB.
     """
     if spec_x.n != spec_y.n:
         raise DimensionMismatch(f"dimensions differ: {spec_x.n} vs {spec_y.n}")

@@ -141,12 +141,10 @@ class ExperimentConfig:
     spec_y: dict | None = None
 
     def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
-        if self.generator not in GENERATORS:
-            raise ConfigError(f"generator must be one of {GENERATORS}, got {self.generator!r}")
-        if self.format not in FORMATS:
-            raise ConfigError(f"format must be one of {FORMATS}, got {self.format!r}")
+        for name, choices in (("experiment", EXPERIMENTS), ("generator", GENERATORS), ("format", FORMATS)):
+            value = getattr(self, name)
+            if not (isinstance(value, str) and value in choices):  # `in` on an array would not be a bool
+                raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
         if not (self.output_path is None or isinstance(self.output_path, str)):
             raise ConfigError(f"output_path must be a string or null, got {self.output_path!r}")
         if self.generator == "explicit" and self.spec_x is None:

@@ -139,6 +139,15 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="bound-check", generator="explicit")
 
+    def test_names_must_be_strings(self):
+        # An array is refused before any membership test (whose truth value would be ambiguous), and a one-element
+        # array is not echoed in the report as an array.
+        for field in ("experiment", "generator", "format"):
+            for value in (np.array(["sharpness", "x"]), np.array(["json"]), np.array("csv"), ["wishart"], 1, None):
+                fields = {"experiment": "sharpness", field: value}
+                with pytest.raises(ConfigError, match=f"{field} must be one of"):
+                    ExperimentConfig(**fields)
+
     def test_inline_specs_need_the_explicit_generator(self):
         # Another generator would ignore them, yet the report would echo them next to its own laws.
         doc = {"mean": [5.0, 5.0], "covariance": [[9.0, 0.0], [0.0, 9.0]]}

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
@@ -192,11 +192,11 @@ class TestSample:
         # for diagonal and zero laws.  A dense product's last bits may depend
         # on its row count, so a dense law agrees on every row before its
         # final block, and on all rows when the count ends on a block
-        # boundary: at n = 300 blocks hold 2**19 // 300 = 1747 rows,
+        # boundary: at n = 300 blocks of 1 MiB hold 2**17 // 300 = 436 rows,
         # restarting at each shard.
         spec = validate_spec(np.zeros(2), np.eye(2))
         assert np.array_equal(sample(spec, 300, seed=8)[:120], sample(spec, 120, seed=8))
-        n, block, seed = 300, 1747, 7
+        n, block, seed = 300, 436, 7
         long_count = 2 * SHARD_ROWS + 17
         rng = np.random.default_rng(20)
         diag = validate_spec(rng.standard_normal(n), np.diag(rng.uniform(0.1, 8.0, n)))
@@ -292,31 +292,33 @@ class TestCommonDrawValues:
         assert not np.array_equal(a, b)
 
     def test_sample_peaks_at_its_result_plus_two_panel_blocks(self, traced_peak):
-        # Each block of about 4 MiB is drawn into z, transformed into the row
+        # Each block of 1 MiB is drawn into z, transformed into the row
         # buffer (or into z itself for the identity law) and written straight
         # into the one (count x n) result, whether the law is dense or not.
+        # Measured: 2.07 MiB above the result for the dense law, 1.07 for
+        # the identity law.
         n, count = 256, 4 * SHARD_ROWS
-        panel = (2**19 // n) * n * 8
+        panel = 2**20
         for spec in (validate_spec(np.zeros(n), np.eye(n)), random_spec(n, 19, "wishart")):
             rows, peak = traced_peak(lambda: sample(spec, count, seed=11))
             assert rows.shape == (count, n)
-            assert peak <= count * n * 8 + 2 * panel + 2**20, spec.factor.ndim
+            assert peak <= count * n * 8 + 2 * panel + 2**18, spec.factor.ndim
 
     def test_in_place_diagonal_laws_keep_their_bits(self):
         # The last law that draws is transformed in z itself when it is
-        # diagonal.  Every call draws a shard in blocks of about 4 MiB, whatever
-        # laws it holds: at n = 100, 5242 rows, so a full shard splits
-        # 5242 + 2950.  The blocks are one generator's consecutive fills, so
-        # every law must still equal its own sample and a reference built
-        # outside the package in the same blocks, since a dense product's last
-        # bits may depend on its row count.
+        # diagonal.  Every call draws a shard in blocks of about 1 MiB, whatever
+        # laws it holds: at n = 100, 1310 rows, so a full shard splits into
+        # six such blocks and 332 rows.  The blocks are one generator's
+        # consecutive fills, so every law must still equal its own sample and
+        # a reference built outside the package in the same blocks, since a
+        # dense product's last bits may depend on its row count.
         rng = np.random.default_rng(12)
         n, count, seed = 100, SHARD_ROWS + 257, 13
         dense = random_psd_spec(rng, n)
         diag = validate_spec(rng.standard_normal(n), np.diag(rng.uniform(0.1, 8.0, n)))
         other = validate_spec(rng.standard_normal(n), np.diag(rng.uniform(0.1, 8.0, n)))
         zero = validate_spec(rng.standard_normal(n), np.zeros((n, n)))
-        blocks = [5242, 2950, 257]
+        blocks = [1310] * 6 + [332, 257]
 
         def reference(spec):
             shards = []
@@ -363,21 +365,31 @@ class TestCommonDrawValues:
 
     def test_row_maxima_of_the_iid_law_peak_at_one_block_buffer(self, traced_peak):
         # The identity law is the only law that draws, so it is drawn in
-        # blocks of about 4 MiB, transformed in the z buffer, and no row
-        # buffer is allocated.
+        # blocks of 1 MiB, transformed in the z buffer, and no row buffer is
+        # allocated: measured 1.07 MiB above the maxima.
         n, count = 1024, 2 * SHARD_ROWS
         spec = validate_spec(np.zeros(n), np.eye(n))
         _, peak = traced_peak(lambda: common_draw_values([(spec, row_max)], count, seed=16))
-        assert peak <= 2**22 + count * 8 + 2**20
+        assert peak <= 2**20 + count * 8 + 2**18
 
     def test_a_law_that_draws_nothing_allocates_no_z_block(self, traced_peak):
-        # The zero law is its mean on every row: one row block, no z block.
+        # The zero law is its mean on every row: one 1 MiB row block, no z
+        # block (measured 1.00 MiB above the maxima).
         count = 2 * SHARD_ROWS
         for n in (1024, 2048):
             spec = validate_spec(np.zeros(n), np.zeros((n, n)))
             (maxima,), peak = traced_peak(lambda: common_draw_values([(spec, row_max)], count, seed=18))
             assert (maxima == 0.0).all()
-            assert peak <= 2**22 + count * 8 + 2**20, n
+            assert peak <= 2**20 + count * 8 + 2**18, n
+
+    def test_row_maxima_of_a_dense_pair_peak_at_two_blocks(self, traced_peak):
+        # Two dense laws share a 1 MiB z block and a 1 MiB row block, next to
+        # their two 20 000-entry results: measured 2.39 MiB (8.43 with 4 MiB
+        # blocks).
+        x, y = random_spec(64, 20, "wishart"), random_spec(64, 21, "wishart")
+        common_draw_values([(x, row_max), (y, row_max)], 2, seed=19)  # first-call allocations
+        _, peak = traced_peak(lambda: common_draw_values([(x, row_max), (y, row_max)], 20_000, seed=19))
+        assert peak <= 3 * 2**20
 
     def test_row_maxima_of_the_iid_law_hold_memory_flat_in_n(self, traced_peak):
         count = 20_000
@@ -390,12 +402,14 @@ class TestCommonDrawValues:
         assert max(peaks) <= 1.1 * min(peaks), peaks
 
     def test_expected_max_of_the_iid_law_allocates_no_row_block(self, traced_peak):
-        # One 4096-wide row block would take 4 MiB, 32 times count * 8 bytes;
-        # the maxima drawn directly take a few count-long arrays.
+        # One 4096-wide row block would take 1 MiB, 8 times count * 8 bytes;
+        # the maxima drawn directly take about five count-long arrays
+        # (measured 5.15).
         count = 2 * SHARD_ROWS
         spec = validate_spec(np.zeros(4096), np.eye(4096))
+        expected_max_mc(spec, 2, seed=16)  # first-call allocations
         _, peak = traced_peak(lambda: expected_max_mc(spec, count, seed=16))
-        assert peak <= 8 * count * 8
+        assert peak <= 6 * count * 8
 
     def test_a_reduction_must_return_one_entry_per_row(self):
         spec = validate_spec(np.zeros(2), np.eye(2))
@@ -619,7 +633,7 @@ def _law(kind, n, seed):
 class TestDrawProperties:
     @given(
         kind=st.sampled_from(["diagonal", "zero"]),
-        n=st.one_of(st.integers(1, 40), st.just(300)),  # at n = 300 a shard splits into blocks of 1747 rows
+        n=st.one_of(st.integers(1, 40), st.just(300)),  # at n = 300 a shard splits into blocks of 436 rows
         counts=st.lists(st.integers(1, SHARD_ROWS + 2000), min_size=2, max_size=3),
         seed=st.integers(0, 2**64 - 1),
     )
@@ -632,6 +646,24 @@ class TestDrawProperties:
             assert np.array_equal(short, rows[:count])
             (maxima,) = common_draw_values([(spec, row_max)], count, seed)  # reduced block by block
             assert np.array_equal(maxima, rows[:count].max(axis=1))
+
+    @settings(max_examples=30)
+    @given(
+        n=st.integers(1, 300),
+        shards=st.integers(0, 1),
+        blocks=st.integers(1, 20),
+        extra=st.integers(1, 2000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dense_laws_agree_on_their_prefixes_at_block_aligned_counts(self, n, shards, blocks, extra, seed):
+        # A shard is drawn in blocks of 2**17 // n rows (1 MiB), restarting at
+        # each shard.  A dense product's last bits may depend on its row
+        # count, so the promise holds for a count whose final block is whole
+        # (it ends on a block or at the shard's end): its rows are a bitwise
+        # prefix of every longer batch.
+        spec = _law("dense", n, seed)
+        count = shards * SHARD_ROWS + min(blocks * min(SHARD_ROWS, 2**17 // n), SHARD_ROWS)
+        assert np.array_equal(sample(spec, count, seed), sample(spec, count + extra, seed)[:count])
 
     @given(
         kinds=st.lists(st.sampled_from(["diagonal", "zero", "dense"]), min_size=2, max_size=4),
