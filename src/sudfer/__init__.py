@@ -44,11 +44,7 @@ from .experiments import (
     dominated_pair,
     iid_standard_spec,
     random_spec,
-    run_bound_check,
     run_experiment,
-    run_path_diagnostics,
-    run_sharpness,
-    run_stein_check,
     spec_from_document,
     zero_spec,
 )
@@ -121,11 +117,7 @@ __all__ = [
     "render",
     "render_csv",
     "render_json",
-    "run_bound_check",
     "run_experiment",
-    "run_path_diagnostics",
-    "run_sharpness",
-    "run_stein_check",
     "sample",
     "sandwich_gap",
     "sf_bound",

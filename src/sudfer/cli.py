@@ -10,25 +10,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Any, Callable
 
 from .errors import SudferError
 from .experiments import EXPERIMENTS, FORMATS, GENERATORS, ExperimentConfig, run_experiment
 from .reports import write_report
 
 
-def _parse_int_list(text: str) -> int | list[int]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    values = [int(p) for p in parts]
-    return values[0] if len(values) == 1 else values
+def _comma_list(cast: type, unwrap_one: bool = False) -> Callable[[str], Any]:
+    """An argparse type: a comma list of ``cast`` values (one value alone with ``unwrap_one``); no item is empty."""
 
+    def parse(text: str) -> Any:
+        try:
+            values = [cast(item) for item in text.split(",")]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {cast.__name__}s, got {text!r}") from exc
+        return values[0] if unwrap_one and len(values) == 1 else values
 
-def _parse_float_list(text: str) -> list[float]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
-    return [float(p) for p in parts]
+    return parse
 
 
 def _parse_beta(text: str) -> float | str:
@@ -62,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--n",
-        type=_parse_int_list,
+        type=_comma_list(int, unwrap_one=True),
         metavar="N[,N...]",
         help="dimension, or a comma-separated list cycled across trials",
     )
@@ -76,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--grid",
-        type=_parse_float_list,
+        type=_comma_list(float),
         metavar="T[,T...]",
         help="interior interpolation points for path-diagnostics",
     )
@@ -104,8 +103,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         doc.update(loaded)
     # Every flag's destination is the config field it sets.
     doc.update((key, value) for key, value in vars(args).items() if key != "config" and value is not None)
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(doc) - known
+    unknown = set(doc) - set(ExperimentConfig.__dataclass_fields__)
     if unknown:
         raise SudferError(f"unknown config fields: {sorted(unknown)}")
     return ExperimentConfig(**doc)
@@ -118,10 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         config = config_from_args(args)
         report = run_experiment(config)
         write_report(report, config.output_path, config.format)
-    except SudferError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, MemoryError) as exc:
+    except (SudferError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0 if report.passed() else 2

@@ -1,11 +1,18 @@
-"""Seeded experiment runners: spec generators, the four canonical runs,
-and their report builders.
+"""Seeded experiments: spec generators, the config, and the one runner.
+
+``run_experiment`` is the one entry point: it runs the private function
+that ``config.experiment`` names, times it, and builds the report.  It
+relies on ``ExperimentConfig`` to raise ConfigError at construction on a
+bad name or number, an empty n list, sharpness with an n < 2 or the
+"explicit" generator, path-diagnostics with no grid or a point outside
+(0, 1), inline specs without the "explicit" generator or it without
+``spec_x``, and stein-check with a ``spec_y``.
 
 Every run is a pure function of its config: per-trial seeds are derived
 from (config.seed, trial index), so reruns reproduce the report body byte
 for byte.  Verdicts are 3-sigma Monte Carlo checks recomputable from the
 stored numbers alone, and each summary is computed from the records.
-Each runner has its own pass rule:
+Each experiment has its own pass rule:
 
 - sharpness: every n passes and the ratios do not fall beyond noise;
 - bound-check: every trial with equal means passes (others are skipped);
@@ -122,9 +129,9 @@ class ExperimentConfig:
     through the list trial by trial.  ``beta`` is either a positive float or
     "auto" (resolved per trial via the optimal tradeoff beta when the pair
     has a positive discrepancy).  ``spec_x``/``spec_y`` hold inline
-    mean/covariance documents for the "explicit" generator, and any other
-    generator refuses them.  ``output_path`` is a string or None (stdout).
-    Every bad field raises ConfigError.
+    mean/covariance documents for the "explicit" generator.  ``output_path``
+    is a string or None (stdout).  Every rule of the module docstring is
+    checked here, at construction, and a broken one raises ConfigError.
     """
 
     experiment: str
@@ -151,6 +158,10 @@ class ExperimentConfig:
             raise ConfigError('generator "explicit" needs an inline "spec_x" document')
         if self.generator != "explicit" and (self.spec_x is not None or self.spec_y is not None):
             raise ConfigError(f'spec_x and spec_y need generator "explicit", got generator {self.generator!r}')
+        if self.experiment == "sharpness" and self.generator == "explicit":
+            raise ConfigError("sharpness compares N(0, I_n) with the zero law and reads no inline spec")
+        if self.experiment == "stein-check" and self.spec_y is not None:
+            raise ConfigError("stein-check reads one law, spec_x, and no spec_y")
         if isinstance(self.n, (list, tuple)) and not self.n:
             raise ConfigError("n must hold at least one dimension, got an empty list")
         if not isinstance(self.grid, (list, tuple, np.ndarray)):
@@ -168,6 +179,8 @@ class ExperimentConfig:
                 object.__setattr__(self, "beta", check_real("beta", self.beta))
         except InvalidInput as exc:
             raise ConfigError(str(exc)) from exc
+        if self.experiment == "sharpness" and any(n < 2 for n in self.n_list(default=())):
+            raise ConfigError(f"sharpness needs every n >= 2, got {self.n}")
         if self.experiment == "path-diagnostics":
             if not self.grid:
                 raise ConfigError("path-diagnostics needs a nonempty grid")
@@ -242,22 +255,9 @@ def _law_picker(config: ExperimentConfig) -> Callable[[int, int, int], GaussianS
     return lambda n, trial_seed, which: parse(which == 1 and config.spec_y is not None)
 
 
-def _report(
-    config: ExperimentConfig, records: list[dict[str, Any]], summary: dict[str, Any], started: float
-) -> ExperimentReport:
-    return ExperimentReport(
-        config=config.echo(),
-        records=records,
-        summary=summary,
-        version=__version__,
-        duration_seconds=time.perf_counter() - started,
-    )
-
-
-def run_bound_check(config: ExperimentConfig) -> ExperimentReport:
+def _bound_check(config: ExperimentConfig) -> tuple[list[dict[str, Any]], dict[str, Any]]:
     """Certificate + empirical gap for random pairs; the gap must stay
     below the certified bound plus 3 standard errors on every trial."""
-    started = time.perf_counter()
     pick = _law_picker(config)
     records = []
     for trial, n, trial_seed in _trials(config):
@@ -297,22 +297,18 @@ def run_bound_check(config: ExperimentConfig) -> ExperimentReport:
         "max_violation_z": max([0.0] + [r["z_score"] for r in records if r["means_equal"]]),
         "pass": False not in verdicts,
     }
-    return _report(config, records, summary, started)
+    return records, summary
 
 
-def run_sharpness(config: ExperimentConfig) -> ExperimentReport:
+def _sharpness(config: ExperimentConfig) -> tuple[list[dict[str, Any]], dict[str, Any]]:
     """Gap-to-bound ratio for N(0, I_n) against the zero law.
 
     The increment discrepancy of that pair is exactly 2, so the certified
     bound is sqrt(2 ln n); the measured ratio climbs toward 1 as n grows,
     which is what makes the bound asymptotically tight.
     """
-    started = time.perf_counter()
-    ns = config.n_list(default=(16, 256, 4096))
-    if any(n < 2 for n in ns):
-        raise ConfigError(f"sharpness needs every n >= 2, got {ns}")
     records = []
-    for idx, n in enumerate(ns):
+    for idx, n in enumerate(config.n_list(default=(16, 256, 4096))):
         spec_x = iid_standard_spec(n)
         spec_y = zero_spec(n)
         cert = certify(spec_x, spec_y)
@@ -343,10 +339,10 @@ def run_sharpness(config: ExperimentConfig) -> ExperimentReport:
         "nondecreasing_within_noise": nondecreasing,
         "pass": all(r["pass"] for r in records) and nondecreasing,
     }
-    return _report(config, records, summary, started)
+    return records, summary
 
 
-def run_path_diagnostics(config: ExperimentConfig) -> ExperimentReport:
+def _path_diagnostics(config: ExperimentConfig) -> tuple[list[dict[str, Any]], dict[str, Any]]:
     """Derivative diagnostics along the blend path of dominated pairs.
 
     One certificate per trial gives gamma, the domination flag and the auto
@@ -357,7 +353,6 @@ def run_path_diagnostics(config: ExperimentConfig) -> ExperimentReport:
     not be below -3 standard errors.
     Per trial: phi(1) >= phi(0) within noise.
     """
-    started = time.perf_counter()
     pick = _law_picker(config)
     records = []
     endpoints = []
@@ -415,13 +410,12 @@ def run_path_diagnostics(config: ExperimentConfig) -> ExperimentReport:
         "pass": all(r["consistency_pass"] and (r["sign_pass"] or not r["dominated_xy"]) for r in records)
         and all(e["monotone_within_noise"] or not dominated[e["trial"]] for e in endpoints),
     }
-    return _report(config, records, summary, started)
+    return records, summary
 
 
-def run_stein_check(config: ExperimentConfig) -> ExperimentReport:
+def _stein_check(config: ExperimentConfig) -> tuple[list[dict[str, Any]], dict[str, Any]]:
     """Integration-by-parts residuals for every coordinate of random laws
     (any mean); at least 99% of the 3-sigma verdicts must pass."""
-    started = time.perf_counter()
     pick = _law_picker(config)
     beta = _resolve_beta(config)
     params = SmoothMaxParams(beta)
@@ -449,17 +443,19 @@ def run_stein_check(config: ExperimentConfig) -> ExperimentReport:
         "pass_rate": rate,
         "pass": rate >= 0.99,
     }
-    return _report(config, records, summary, started)
+    return records, summary
 
 
 _RUNNERS = {
-    "sharpness": run_sharpness,
-    "bound-check": run_bound_check,
-    "path-diagnostics": run_path_diagnostics,
-    "stein-check": run_stein_check,
+    "sharpness": _sharpness,
+    "bound-check": _bound_check,
+    "path-diagnostics": _path_diagnostics,
+    "stein-check": _stein_check,
 }
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Dispatch to the runner named by config.experiment."""
-    return _RUNNERS[config.experiment](config)
+    """Run the experiment named by ``config.experiment`` and report it, timed."""
+    started = time.perf_counter()
+    records, summary = _RUNNERS[config.experiment](config)
+    return ExperimentReport(config.echo(), records, summary, __version__, time.perf_counter() - started)

@@ -13,8 +13,8 @@ formula, a central finite difference of phi, and a direct residual check of
 the integration-by-parts identity (for a law of any mean) are all
 implemented as Monte Carlo estimators so each step of the calculus can be
 cross-validated numerically.  The path verdicts built from these estimates
-(consistency, sign, endpoint monotonicity) live in
-experiments.run_path_diagnostics.
+(consistency, sign, endpoint monotonicity) live in the path-diagnostics
+experiment.
 
 Along the path only the factor applied to the standard normals changes with
 t, so each estimator is a reduction passed to gaussian.common_draw_values.

@@ -28,6 +28,14 @@ class TestParsing:
         assert args.beta == "auto"
         assert parse(["path-diagnostics", "--beta", "2.5"]).beta == 2.5
 
+    @pytest.mark.parametrize("flag, text", [("--n", "16,,256"), ("--n", "16,"), ("--n", ","), ("--grid", "0.5,")])
+    def test_an_empty_list_item_exits_one(self, capsys, flag, text):
+        # An empty item is an error, not a separator to skip.
+        with pytest.raises(SystemExit) as exc:
+            parse(["path-diagnostics", flag, text])
+        assert exc.value.code == 1
+        assert "expected comma-separated" in capsys.readouterr().err
+
     def test_usage_errors_exit_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             parse(["bogus"])
@@ -199,6 +207,25 @@ class TestExitCodes:
         monkeypatch.setattr("sudfer.cli.run_experiment", fake_run)
         assert main(["bound-check", "--samples", "100"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv, doc, message",
+        [
+            (["sharpness", "--n", "4,1"], {}, "sharpness needs every n >= 2"),
+            (["sharpness", "--generator", "explicit"], {"spec_x": {"mean": [0.0], "covariance": [[1.0]]}}, "inline"),
+            (
+                ["stein-check", "--generator", "explicit"],
+                {"spec_x": {"mean": [0.0], "covariance": [[1.0]]}, "spec_y": {"mean": [0.0], "covariance": [[2.0]]}},
+                "spec_y",
+            ),
+        ],
+    )
+    def test_a_config_the_experiment_refuses_exits_one(self, tmp_path, capsys, argv, doc, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"samples": 2000, **doc}))
+        assert main([*argv, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
     def test_errors_exit_one(self, capsys):
         assert main(["bound-check", "--seed", "-4"]) == 1

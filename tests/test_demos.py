@@ -1,6 +1,8 @@
-"""Every narrative script under demos/ runs cleanly against the source tree."""
+"""Every narrative script under demos/, and every Python block of the README, runs cleanly against the
+source tree."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,14 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S)
+
+
+def run_source(argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_demos_exist():
@@ -17,9 +27,10 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs_cleanly(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
+    run_source([str(demo)])
+
+
+def test_readme_python_blocks_run_cleanly():
+    # A public name removed from the package cannot stay in the README's examples.
+    assert len(README_BLOCKS) >= 2
+    run_source(["-c", "\n".join(README_BLOCKS)])

@@ -1,4 +1,4 @@
-"""Spec generators, experiment configs, and the four canonical runners."""
+"""Spec generators, experiment configs, and the four experiments behind run_experiment."""
 
 import dataclasses
 import math
@@ -19,11 +19,7 @@ from sudfer import (
     phi,
     phi_derivative,
     random_spec,
-    run_bound_check,
     run_experiment,
-    run_path_diagnostics,
-    run_sharpness,
-    run_stein_check,
     spec_from_document,
     validate_spec,
 )
@@ -33,14 +29,7 @@ from sudfer.reports import render_json
 
 
 def body_text(report):
-    clone = type(report)(
-        config=report.config,
-        records=report.records,
-        summary=report.summary,
-        version=report.version,
-        duration_seconds=0.0,
-    )
-    return render_json(clone)
+    return render_json(dataclasses.replace(report, duration_seconds=0.0))
 
 
 class TestRandomSpec:
@@ -157,6 +146,26 @@ class TestExperimentConfig:
         config = ExperimentConfig(experiment="bound-check", generator="explicit", trials=1, samples=100, spec_x=doc)
         assert config.echo()["spec_x"] == doc
 
+    def test_sharpness_needs_every_n_at_least_two_at_construction(self):
+        for n in (1, [4, 1]):
+            with pytest.raises(ConfigError, match="sharpness needs every n >= 2"):
+                ExperimentConfig(experiment="sharpness", n=n)
+        assert ExperimentConfig(experiment="bound-check", n=[4, 1]).n == (4, 1)
+
+    def test_sharpness_refuses_inline_specs(self):
+        # Its laws are N(0, I_n) and the zero law: an inline spec_x would be echoed in the report yet never read.
+        doc = {"mean": [5.0, 5.0], "covariance": [[9.0, 0.0], [0.0, 9.0]]}
+        with pytest.raises(ConfigError, match="sharpness"):
+            ExperimentConfig(experiment="sharpness", generator="explicit", spec_x=doc)
+
+    def test_stein_check_refuses_a_second_law(self):
+        # Stein-check reads spec_x alone, so a spec_y, even of the wrong dimension, would be echoed but ignored.
+        doc_x = {"mean": [0.0, 0.0], "covariance": [[1.0, 0.0], [0.0, 1.0]]}
+        doc_y = {"mean": [0.0], "covariance": [[1.0]]}
+        with pytest.raises(ConfigError, match="spec_y"):
+            ExperimentConfig(experiment="stein-check", generator="explicit", spec_x=doc_x, spec_y=doc_y)
+        assert ExperimentConfig(experiment="bound-check", generator="explicit", spec_x=doc_x, spec_y=doc_x).spec_y
+
     @pytest.mark.parametrize("experiment", experiments.EXPERIMENTS)
     def test_empty_dimension_list_is_rejected(self, experiment):
         with pytest.raises(ConfigError, match="n must hold at least one dimension"):
@@ -216,7 +225,7 @@ class TestRunBoundCheck:
             spec_x=doc,
             spec_y=doc,
         )
-        report = run_bound_check(config)
+        report = run_experiment(config)
         (record,) = report.records
         assert record["gamma"] == 0.0
         assert record["bound"] == 0.0
@@ -230,7 +239,7 @@ class TestRunBoundCheck:
         config = ExperimentConfig(
             experiment="bound-check", n=1, trials=5, samples=5000, seed=6, generator="wishart"
         )
-        report = run_bound_check(config)
+        report = run_experiment(config)
         for record in report.records:
             assert record["bound"] == 0.0
             assert abs(record["gap"]) <= 3.0 * record["gap_stderr"]
@@ -245,7 +254,7 @@ class TestRunBoundCheck:
             seed=7,
             generator="wishart",
         )
-        report = run_bound_check(config)
+        report = run_experiment(config)
         assert report.summary["passes"] == 9
         assert report.summary["fails"] == 0
         assert report.summary["max_violation_z"] <= 3.0
@@ -262,7 +271,7 @@ class TestRunBoundCheck:
             spec_x={"mean": [0.0, 0.0], "covariance": [[1.0, 0.0], [0.0, 1.0]]},
             spec_y={"mean": [1.0, 0.0], "covariance": [[1.0, 0.0], [0.0, 1.0]]},
         )
-        report = run_bound_check(config)
+        report = run_experiment(config)
         assert [record["pass"] for record in report.records] == [None, None, None]
         assert report.summary == {
             "trials": 3,
@@ -286,7 +295,7 @@ class TestRunBoundCheck:
 
         monkeypatch.setattr(experiments, "empirical_gap", inflated)
         config = ExperimentConfig(experiment="bound-check", n=3, trials=3, samples=2000, seed=19)
-        report = run_bound_check(config)
+        report = run_experiment(config)
         assert [record["pass"] for record in report.records] == [True, False, True]
         assert report.summary["passes"] == 2
         assert report.summary["fails"] == 1
@@ -299,7 +308,7 @@ class TestRunSharpness:
         config = ExperimentConfig(
             experiment="sharpness", n=[4, 16], samples=50_000, seed=8
         )
-        report = run_sharpness(config)
+        report = run_experiment(config)
         assert [r["n"] for r in report.records] == [4, 16]
         for record in report.records:
             assert record["gamma"] == 2.0
@@ -312,12 +321,12 @@ class TestRunSharpness:
 
     def test_rejects_degenerate_dimension(self):
         with pytest.raises(ConfigError):
-            run_sharpness(ExperimentConfig(experiment="sharpness", n=1, samples=1000, seed=1))
+            run_experiment(ExperimentConfig(experiment="sharpness", n=1, samples=1000, seed=1))
 
     def test_reaches_a_million_coordinates_in_linear_memory(self, traced_peak):
         # The two laws store their variances (24 MiB each at 2^20) and the certificate is one scalar.
         config = ExperimentConfig(experiment="sharpness", n=[16, 256, 4096, 2**20], samples=10**5, seed=3)
-        report, peak = traced_peak(lambda: run_sharpness(config))
+        report, peak = traced_peak(lambda: run_experiment(config))
         assert [r["gamma"] for r in report.records] == [2.0] * 4
         assert report.summary["pass"] is True
         assert peak < 100e6
@@ -330,7 +339,7 @@ class TestRunSharpness:
             return est_x, est_y, dataclasses.replace(gap, value=gap.value + 50.0)
 
         monkeypatch.setattr(experiments, "empirical_gap", inflated)
-        report = run_sharpness(ExperimentConfig(experiment="sharpness", n=[4, 16], samples=2000, seed=8))
+        report = run_experiment(ExperimentConfig(experiment="sharpness", n=[4, 16], samples=2000, seed=8))
         assert [record["pass"] for record in report.records] == [False, False]
         assert report.summary["ratios"] == [record["ratio"] for record in report.records]
         assert report.summary["pass"] is False
@@ -346,7 +355,7 @@ class TestRunPathDiagnostics:
             seed=9,
             grid=(0.3, 0.7),
         )
-        report = run_path_diagnostics(config)
+        report = run_experiment(config)
         assert len(report.records) == 4
         # The resolved beta must be the tradeoff optimum of the pair that the
         # trial seed reconstructs.
@@ -371,7 +380,7 @@ class TestRunPathDiagnostics:
             spec_x=doc,
             spec_y=doc,
         )
-        report = run_path_diagnostics(config)
+        report = run_experiment(config)
         for record in report.records:
             assert abs(record["explicit"]) <= 3.0 * record["explicit_stderr"] + 1e-12
             assert record["sign_pass"] is True
@@ -384,7 +393,7 @@ class TestRunPathDiagnostics:
         config = ExperimentConfig(
             experiment="path-diagnostics", n=5, trials=2, samples=20_000, seed=15, grid=(0.25, 0.5, 0.75)
         )
-        report = run_path_diagnostics(config)
+        report = run_experiment(config)
         assert len(report.records) == 6
         for record in report.records:
             trial_seed = derive_seed(15, record["trial"])
@@ -417,7 +426,7 @@ class TestRunPathDiagnostics:
             spec_x=docs[0],
             spec_y=docs[1],
         )
-        report = run_path_diagnostics(config)
+        report = run_experiment(config)
         assert not any(record["dominated_xy"] for record in report.records)
         assert not all(record["sign_pass"] for record in report.records)
         for record in report.records:
@@ -428,7 +437,7 @@ class TestRunPathDiagnostics:
         config = ExperimentConfig(
             experiment="path-diagnostics", n=3, trials=1, samples=20_000, seed=11
         )
-        report = run_path_diagnostics(config)
+        report = run_experiment(config)
         (endpoint,) = report.summary["endpoints"]
         assert endpoint["monotone_within_noise"] is True
         assert endpoint["phi1"] >= endpoint["phi0"] - 3.0 * math.hypot(
@@ -445,7 +454,7 @@ class TestRunPathDiagnostics:
 
         monkeypatch.setattr(experiments, "phi_derivative", shifted)
         config = ExperimentConfig(experiment="path-diagnostics", n=3, trials=1, samples=2000, seed=20, grid=(0.5,))
-        report = run_path_diagnostics(config)
+        report = run_experiment(config)
         (record,) = report.records
         assert record["consistency_pass"] is False
         assert record["sign_pass"] is True
@@ -463,7 +472,7 @@ class TestRunPathDiagnostics:
             experiment="path-diagnostics", n=3, trials=1, samples=SHARD_ROWS + 257, seed=14, beta=2.0, grid=(0.5,)
         )
         monkeypatch.setattr(np.random, "default_rng", counting)
-        report = run_path_diagnostics(config)
+        report = run_experiment(config)
         monkeypatch.undo()
         trial_seed = derive_seed(14, 0)
         endpoint_seed = derive_seed(trial_seed, 3)
@@ -480,7 +489,7 @@ class TestRunSteinCheck:
         config = ExperimentConfig(
             experiment="stein-check", n=[2, 3, 4], trials=6, samples=50_000, seed=12
         )
-        report = run_stein_check(config)
+        report = run_experiment(config)
         assert report.summary["verdicts"] == 2 + 3 + 4 + 2 + 3 + 4
         assert report.summary["pass_rate"] >= 0.99
         assert report.summary["pass"] is True
@@ -493,7 +502,7 @@ class TestRunSteinCheck:
             return [dataclasses.replace(first, value=first.value + 50.0), *rest]
 
         monkeypatch.setattr(experiments, "stein_residuals", shifted)
-        report = run_stein_check(ExperimentConfig(experiment="stein-check", n=2, trials=3, samples=2000, seed=21))
+        report = run_experiment(ExperimentConfig(experiment="stein-check", n=2, trials=3, samples=2000, seed=21))
         assert [record["pass"] for record in report.records] == [False, True] * 3
         assert report.summary["verdicts"] == 6
         assert report.summary["passes"] == 3
@@ -514,7 +523,7 @@ class TestRunSteinCheck:
             beta=1.5,
             spec_x=doc,
         )
-        report = run_stein_check(config)
+        report = run_experiment(config)
         middle = [r for r in report.records if r["coordinate"] == 1]
         assert middle[0]["residual"] == 0.0
         assert middle[0]["residual_stderr"] == 0.0
@@ -526,17 +535,11 @@ class TestDeterminismAndDispatch:
         config = ExperimentConfig(
             experiment="bound-check", n=3, trials=2, samples=5000, seed=14
         )
-        a = run_bound_check(config)
-        b = run_bound_check(config)
+        a = run_experiment(config)
+        b = run_experiment(config)
         assert body_text(a) == body_text(b)
         other = ExperimentConfig(experiment="bound-check", n=3, trials=2, samples=5000, seed=15)
-        assert body_text(run_bound_check(other)) != body_text(a)
-
-    def test_dispatch_matches_direct_calls(self):
-        config = ExperimentConfig(experiment="stein-check", n=2, trials=1, samples=2000, seed=16)
-        via_dispatch = run_experiment(config)
-        direct = run_stein_check(config)
-        assert body_text(via_dispatch) == body_text(direct)
+        assert body_text(run_experiment(other)) != body_text(a)
 
     def test_output_settings_do_not_change_the_body(self):
         base = ExperimentConfig(experiment="stein-check", n=2, trials=1, samples=2000, seed=17)

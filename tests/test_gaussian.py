@@ -26,7 +26,7 @@ from sudfer import (
     validate_spec,
 )
 from sudfer import gaussian
-from sudfer.experiments import ExperimentConfig, iid_standard_spec, run_bound_check, run_sharpness, zero_spec
+from sudfer.experiments import ExperimentConfig, iid_standard_spec, run_experiment, zero_spec
 from sudfer.gaussian import PSD_RTOL, SHARD_ROWS, check_seed, common_draw_values, is_iid, means_equal
 
 
@@ -450,7 +450,7 @@ class TestStructuredLaws:
             spec = validate_spec(mean, cov)
             draws = sample(spec, 700, seed=2)
             assert draws.shape == (700, spec.n)
-        report = run_sharpness(ExperimentConfig(experiment="sharpness", n=[16, 64], samples=2000, seed=5))
+        report = run_experiment(ExperimentConfig(experiment="sharpness", n=[16, 64], samples=2000, seed=5))
         assert len(report.records) == 2
 
     def test_positive_diagonal_matches_the_dense_path(self):
@@ -703,7 +703,7 @@ class TestLawObject:
         assert np.array_equal(sample(spec, 500, seed=3), sample(spec, 500, seed=3))
         doc = {"mean": [0.0, 1.0, 0.5], "covariance": cov}
         config = ExperimentConfig(experiment="bound-check", generator="explicit", spec_x=doc, samples=2000, trials=1)
-        assert run_bound_check(config).passed()
+        assert run_experiment(config).passed()
 
     def test_each_law_is_factored_once(self, monkeypatch):
         calls = []

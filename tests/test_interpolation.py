@@ -17,7 +17,7 @@ from sudfer import (
     increment_matrix,
     phi,
     phi_derivative,
-    run_path_diagnostics,
+    run_experiment,
     sample,
     softmax,
     stein_residuals,
@@ -39,7 +39,7 @@ def zero_spec(n):
 
 
 def path_report(x, y, beta, grid, samples, seed):
-    """run_path_diagnostics on the explicit pair (x, y): one trial, fixed beta."""
+    """The path-diagnostics experiment on the explicit pair (x, y): one trial, fixed beta."""
     # A document gives the covariance as rows, also for a law that stores its variances.
     docs = [{"mean": s.mean.tolist(), "covariance": _covariance_matrix(s).tolist()} for s in (x, y)]
     config = ExperimentConfig(
@@ -53,7 +53,7 @@ def path_report(x, y, beta, grid, samples, seed):
         spec_x=docs[0],
         spec_y=docs[1],
     )
-    return run_path_diagnostics(config)
+    return run_experiment(config)
 
 
 def random_centered_spec(rng, n):
@@ -376,7 +376,7 @@ class TestSteinResiduals:
 
 
 class TestPathMonotonicityReport:
-    # The per-point path report is the record list of run_path_diagnostics.
+    # The per-point path report is the record list of the path-diagnostics experiment.
     def test_dominated_pair_raises_no_flags(self):
         x, y = dominated_pair(5, seed=901, generator="wishart")
         report = path_report(x, y, 1.0, (0.25, 0.5, 0.75), 20_000, seed=903)
