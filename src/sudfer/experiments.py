@@ -1,12 +1,12 @@
 """Seeded experiments: spec generators, the config, and the one runner.
 
-``run_experiment`` is the one entry point: it runs the private function
-that ``config.experiment`` names, times it, and builds the report.  It
-relies on ``ExperimentConfig`` to raise ConfigError at construction on a
-bad name or number, an empty n list, sharpness with an n < 2 or the
-"explicit" generator, path-diagnostics with no grid or a point outside
-(0, 1), inline specs without the "explicit" generator or it without
-``spec_x``, and stein-check with a ``spec_y``.
+``run_experiment`` is the one entry point: it runs the experiment's row of
+the table of experiments, times it, and builds the report.  Each row also
+lists the config fields its runner never reads, and ``ExperimentConfig``
+raises ConfigError at construction on one of them off its default, a bad
+name or number, an empty n list, sharpness with an n < 2, path-diagnostics
+with no grid or a point outside (0, 1), inline specs that are not objects
+or lack the "explicit" generator, or it without ``spec_x`` or with an ``n``.
 
 Every run is a pure function of its config: per-trial seeds are derived
 from (config.seed, trial index), so reruns reproduce the report body byte
@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -35,13 +35,12 @@ import numpy as np
 from . import __version__
 from .bounds import certify
 from .errors import ConfigError, DimensionMismatch, InvalidInput, UnknownGenerator, check_integer, check_real
-from .estimator import empirical_gap, estimate_from_values
+from .estimator import MCEstimate, empirical_gap, estimate_from_values
 from .gaussian import GaussianSpec, blended_spec, check_seed, common_draw_values, derive_seed, validate_spec
 from .interpolation import DEFAULT_GRID, phi_derivative, stein_residuals
 from .reports import ExperimentReport
 from .smoothmax import SmoothMaxParams, _smooth_max_rows
 
-EXPERIMENTS = ("sharpness", "bound-check", "path-diagnostics", "stein-check")
 GENERATORS = ("wishart", "equicorrelated", "diagonal", "explicit")
 FORMATS = ("json", "csv")
 
@@ -130,8 +129,10 @@ class ExperimentConfig:
     "auto" (resolved per trial via the optimal tradeoff beta when the pair
     has a positive discrepancy).  ``spec_x``/``spec_y`` hold inline
     mean/covariance documents for the "explicit" generator.  ``output_path``
-    is a string or None (stdout).  Every rule of the module docstring is
-    checked here, at construction, and a broken one raises ConfigError.
+    is a string or None (stdout).  A field the experiment never reads keeps
+    its default, so the echo holds only what the run used: this and every
+    rule of the module docstring is checked here, at construction, and a
+    broken one raises ConfigError.
     """
 
     experiment: str
@@ -152,16 +153,12 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (isinstance(value, str) and value in choices):  # `in` on an array would not be a bool
                 raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
-        if not (self.output_path is None or isinstance(self.output_path, str)):
-            raise ConfigError(f"output_path must be a string or null, got {self.output_path!r}")
-        if self.generator == "explicit" and self.spec_x is None:
-            raise ConfigError('generator "explicit" needs an inline "spec_x" document')
-        if self.generator != "explicit" and (self.spec_x is not None or self.spec_y is not None):
-            raise ConfigError(f'spec_x and spec_y need generator "explicit", got generator {self.generator!r}')
-        if self.experiment == "sharpness" and self.generator == "explicit":
-            raise ConfigError("sharpness compares N(0, I_n) with the zero law and reads no inline spec")
-        if self.experiment == "stein-check" and self.spec_y is not None:
-            raise ConfigError("stein-check reads one law, spec_x, and no spec_y")
+        for name, kind, noun in (
+            ("output_path", str, "a string"), ("spec_x", dict, "an object"), ("spec_y", dict, "an object")
+        ):
+            value = getattr(self, name)
+            if not (value is None or isinstance(value, kind)):
+                raise ConfigError(f"{name} must be {noun} or null, got {value!r}")
         if isinstance(self.n, (list, tuple)) and not self.n:
             raise ConfigError("n must hold at least one dimension, got an empty list")
         if not isinstance(self.grid, (list, tuple, np.ndarray)):
@@ -179,6 +176,14 @@ class ExperimentConfig:
                 object.__setattr__(self, "beta", check_real("beta", self.beta))
         except InvalidInput as exc:
             raise ConfigError(str(exc)) from exc
+        _, unread = _EXPERIMENTS[self.experiment]
+        moved = [f.name for f in fields(self) if f.name in unread and getattr(self, f.name) != f.default]
+        if moved:
+            raise ConfigError(f"{self.experiment} never reads {', '.join(moved)}: leave each at its default")
+        if self.generator == "explicit" and (self.spec_x is None or self.n is not None):
+            raise ConfigError('generator "explicit" needs an inline "spec_x" document and no n: it sets the dimension')
+        if self.generator != "explicit" and (self.spec_x is not None or self.spec_y is not None):
+            raise ConfigError(f'spec_x and spec_y need generator "explicit", got generator {self.generator!r}')
         if self.experiment == "sharpness" and any(n < 2 for n in self.n_list(default=())):
             raise ConfigError(f"sharpness needs every n >= 2, got {self.n}")
         if self.experiment == "path-diagnostics":
@@ -227,6 +232,10 @@ def _finite_or_none(x: float) -> float | None:
     return None if math.isinf(x) else float(x)
 
 
+def _estimate(name: str, est: MCEstimate) -> dict[str, float]:
+    return {name: est.value, f"{name}_stderr": est.stderr}
+
+
 def _z_score(excess: float, stderr: float) -> float:
     # Degenerate stderr can only occur with a.s. constant maxima, where the
     # bound holds exactly; keep the field finite for the report schema.
@@ -270,17 +279,10 @@ def _bound_check(config: ExperimentConfig) -> tuple[list[dict[str, Any]], dict[s
         records.append(
             {
                 "trial": trial,
-                "n": cert.n,
-                "gamma": cert.gamma,
-                "bound": cert.bound,
+                **asdict(cert),
                 "optimal_beta": _finite_or_none(cert.optimal_beta),
-                "dominates_xy": cert.dominates_xy,
-                "dominates_yx": cert.dominates_yx,
-                "means_equal": cert.means_equal,
-                "emax_x": est_x.value,
-                "emax_x_stderr": est_x.stderr,
-                "emax_y": est_y.value,
-                "emax_y_stderr": est_y.stderr,
+                **_estimate("emax_x", est_x),
+                **_estimate("emax_y", est_y),
                 "gap": gap.value,
                 "abs_gap": abs_gap,
                 "gap_stderr": gap.stderr,
@@ -319,10 +321,8 @@ def _sharpness(config: ExperimentConfig) -> tuple[list[dict[str, Any]], dict[str
                 "n": n,
                 "gamma": cert.gamma,
                 "bound": cert.bound,
-                "emax_x": est_x.value,
-                "emax_x_stderr": est_x.stderr,
-                "emax_y": est_y.value,
-                "emax_y_stderr": est_y.stderr,
+                **_estimate("emax_x", est_x),
+                **_estimate("emax_y", est_y),
                 "abs_gap": abs_gap,
                 "abs_gap_stderr": gap.stderr,
                 "ratio": abs_gap / cert.bound,
@@ -377,10 +377,8 @@ def _path_diagnostics(config: ExperimentConfig) -> tuple[list[dict[str, Any]], d
                     "beta": beta,
                     "gamma": cert.gamma,
                     "dominated_xy": cert.dominates_xy,
-                    "explicit": explicit.value,
-                    "explicit_stderr": explicit.stderr,
-                    "finite_difference": fd.value,
-                    "finite_difference_stderr": fd.stderr,
+                    **_estimate("explicit", explicit),
+                    **_estimate("finite_difference", fd),
                     "consistency_tolerance": tolerance,
                     "consistency_pass": abs(explicit.value - fd.value) <= tolerance,
                     "sign_pass": explicit.value >= -3.0 * explicit.stderr,
@@ -394,10 +392,8 @@ def _path_diagnostics(config: ExperimentConfig) -> tuple[list[dict[str, Any]], d
         endpoints.append(
             {
                 "trial": trial,
-                "phi0": phi0.value,
-                "phi0_stderr": phi0.stderr,
-                "phi1": phi1.value,
-                "phi1_stderr": phi1.stderr,
+                **_estimate("phi0", phi0),
+                **_estimate("phi1", phi1),
                 "monotone_within_noise": phi1.value >= phi0.value - 3.0 * math.hypot(phi0.stderr, phi1.stderr),
             }
         )
@@ -430,8 +426,7 @@ def _stein_check(config: ExperimentConfig) -> tuple[list[dict[str, Any]], dict[s
                     "coordinate": i,
                     "n": spec.n,
                     "beta": beta,
-                    "residual": res.value,
-                    "residual_stderr": res.stderr,
+                    **_estimate("residual", res),
                     "pass": abs(res.value) <= 3.0 * res.stderr,
                 }
             )
@@ -446,16 +441,18 @@ def _stein_check(config: ExperimentConfig) -> tuple[list[dict[str, Any]], dict[s
     return records, summary
 
 
-_RUNNERS = {
-    "sharpness": _sharpness,
-    "bound-check": _bound_check,
-    "path-diagnostics": _path_diagnostics,
-    "stein-check": _stein_check,
+# Each experiment's runner, and the config fields that runner never reads.
+_EXPERIMENTS = {
+    "sharpness": (_sharpness, ("beta", "grid", "trials", "generator", "spec_x", "spec_y")),
+    "bound-check": (_bound_check, ("beta", "grid")),
+    "path-diagnostics": (_path_diagnostics, ()),
+    "stein-check": (_stein_check, ("grid", "spec_y")),
 }
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the experiment named by ``config.experiment`` and report it, timed."""
     started = time.perf_counter()
-    records, summary = _RUNNERS[config.experiment](config)
+    records, summary = _EXPERIMENTS[config.experiment][0](config)
     return ExperimentReport(config.echo(), records, summary, __version__, time.perf_counter() - started)

@@ -212,11 +212,23 @@ class TestExitCodes:
         "argv, doc, message",
         [
             (["sharpness", "--n", "4,1"], {}, "sharpness needs every n >= 2"),
-            (["sharpness", "--generator", "explicit"], {"spec_x": {"mean": [0.0], "covariance": [[1.0]]}}, "inline"),
+            (
+                ["sharpness", "--generator", "explicit"],
+                {"spec_x": {"mean": [0.0], "covariance": [[1.0]]}},
+                "sharpness never reads generator",
+            ),
             (
                 ["stein-check", "--generator", "explicit"],
                 {"spec_x": {"mean": [0.0], "covariance": [[1.0]]}, "spec_y": {"mean": [0.0], "covariance": [[2.0]]}},
                 "spec_y",
+            ),
+            (["bound-check", "--beta", "2"], {}, "bound-check never reads beta"),
+            (["stein-check", "--grid", "0.5"], {}, "stein-check never reads grid"),
+            (["sharpness", "--trials", "3"], {}, "sharpness never reads trials"),
+            (
+                ["bound-check", "--generator", "explicit", "--n", "2"],
+                {"spec_x": {"mean": [0.0, 0.0], "covariance": [[1.0, 0.0], [0.0, 1.0]]}},
+                "no n",
             ),
         ],
     )

@@ -32,6 +32,46 @@ def body_text(report):
     return render_json(dataclasses.replace(report, duration_seconds=0.0))
 
 
+DOC_X = {"mean": [0.0, 0.0], "covariance": [[1.0, 0.2], [0.2, 1.0]]}
+DOC_Y = {"mean": [0.0, 0.0], "covariance": [[2.0, 0.2], [0.2, 2.0]]}
+# A value off its default for every field a runner may read.
+OFF_DEFAULT = {
+    "n": 3,
+    "samples": 300,
+    "seed": 1,
+    "beta": 3.0,
+    "grid": (0.3,),
+    "trials": 2,
+    "generator": "diagonal",
+    "spec_x": DOC_Y,
+    "spec_y": DOC_Y,
+}
+
+
+def table_fields(read):
+    """``(experiment, field)`` for each field the experiment's runner reads (or, with ``read=False``, never reads)."""
+    for experiment, (_, unread) in experiments._EXPERIMENTS.items():
+        for name in OFF_DEFAULT:
+            if (name not in unread) == read:
+                yield experiment, name
+
+
+def tiny_config(experiment, field):
+    """A config of the experiment that runs in milliseconds; explicit when it reads ``field``, an inline spec."""
+    _, unread = experiments._EXPERIMENTS[experiment]
+    fields = {"n": 2}
+    if field.startswith("spec") and "spec_x" not in unread:
+        fields = {"generator": "explicit", "spec_x": DOC_X}
+    if "trials" not in unread:
+        fields["trials"] = 1
+    return ExperimentConfig(experiment=experiment, samples=200, **fields)
+
+
+def results(config):
+    report = run_experiment(config)
+    return report.records, report.summary
+
+
 class TestRandomSpec:
     def test_diagonal_has_exactly_zero_off_diagonal(self):
         # A diagonal law stores its variances, so no off-diagonal entry is kept at all.
@@ -166,6 +206,32 @@ class TestExperimentConfig:
             ExperimentConfig(experiment="stein-check", generator="explicit", spec_x=doc_x, spec_y=doc_y)
         assert ExperimentConfig(experiment="bound-check", generator="explicit", spec_x=doc_x, spec_y=doc_x).spec_y
 
+    @pytest.mark.parametrize("experiment, field", list(table_fields(read=False)))
+    def test_a_field_the_experiment_never_reads_keeps_its_default(self, experiment, field):
+        # Set off its default, the field would be echoed in the report yet change nothing the run computes.
+        explicit = {"generator": "explicit", "spec_x": DOC_X} if field.startswith("spec") else {}
+        with pytest.raises(ConfigError, match=f"{experiment} never reads .*{field}"):
+            ExperimentConfig(experiment=experiment, **{**explicit, field: OFF_DEFAULT[field]})
+        default = ExperimentConfig.__dataclass_fields__[field].default
+        assert getattr(ExperimentConfig(experiment=experiment, **{field: default}), field) == default
+        # And the runner does ignore it: forced past the check, it leaves the results as they were.
+        config = tiny_config(experiment, field)
+        before = results(config)
+        object.__setattr__(config, field, OFF_DEFAULT[field])
+        assert results(config) == before
+
+    @pytest.mark.parametrize("experiment, field", list(table_fields(read=True)))
+    def test_a_field_the_experiment_reads_changes_its_results(self, experiment, field):
+        # The other direction: a field the table lets through moves the records or the summary, not just the echo.
+        config = tiny_config(experiment, field)
+        assert results(dataclasses.replace(config, **{field: OFF_DEFAULT[field]})) != results(config)
+
+    @pytest.mark.parametrize("field", ["spec_x", "spec_y"])
+    def test_an_inline_spec_is_an_object(self, field):
+        # An array is refused when the config is built, not compared with None or indexed by key at run time.
+        with pytest.raises(ConfigError, match=f"{field} must be an object or null"):
+            ExperimentConfig(experiment="stein-check", generator="explicit", **{"spec_x": DOC_X, field: np.zeros(2)})
+
     @pytest.mark.parametrize("experiment", experiments.EXPERIMENTS)
     def test_empty_dimension_list_is_rejected(self, experiment):
         with pytest.raises(ConfigError, match="n must hold at least one dimension"):
@@ -206,8 +272,10 @@ class TestExperimentConfig:
         doc_x = {"mean": [0.0, 0.0], "covariance": [[1.0, 0.2], [0.2, 1.0]]}
         doc_y = {"mean": [0.0, 0.0], "covariance": [[2.0, 0.2], [0.2, 2.0]]}
         extra = {"spec_y": doc_y} if with_y else {}
+        if experiment == "path-diagnostics":
+            extra["grid"] = (0.5,)
         config = ExperimentConfig(
-            experiment=experiment, generator="explicit", trials=5, samples=200, grid=(0.5,), spec_x=doc_x, **extra
+            experiment=experiment, generator="explicit", trials=5, samples=200, spec_x=doc_x, **extra
         )
         run_experiment(config)
         assert len(calls) == expected

@@ -141,6 +141,13 @@ class TestIncrementMatrix:
             pairwise = d[:, None, :] + d.T[None, :, :]  # [i, j, k] = d_ik + d_kj
             assert np.all(d[:, :, None] <= pairwise + 1e-12)
 
+    @given(kind=st.sampled_from(["dense", "diagonal"]), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_sqrt_increments_are_a_pseudometric(self, kind, n, seed):
+        d = np.sqrt(increment_matrix(_law(kind, n, seed)))
+        assert np.all(np.diagonal(d) == 0.0) and np.array_equal(d, d.T)
+        through = d[:, None, :] + d.T[None, :, :]  # [i, j, k] = d_ik + d_kj
+        assert np.all(d[:, :, None] <= through * (1.0 + 1e-12))
+
     def test_returns_read_only_array(self):
         g = increment_matrix(validate_spec([0.0, 1.0], np.eye(2)))
         assert type(g) is np.ndarray and g.dtype == np.float64
@@ -850,6 +857,21 @@ class TestBlendedSpec:
                 assert np.array_equal(blend.mean, spec.mean)
                 assert np.array_equal(blend.covariance, spec.covariance)
                 assert np.array_equal(blend.factor, spec.factor)
+
+    @given(
+        kinds=st.tuples(*[st.sampled_from(["dense", "diagonal", "zero"])] * 2),
+        n=st.integers(1, 8),
+        t=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blend_is_its_inputs_at_the_ends_and_their_convex_combination_inside(self, kinds, n, t, seed):
+        x = _law(kinds[0], n, seed)
+        y = validate_spec(x.mean, _law(kinds[1], n, seed + 1).covariance)
+        assert blended_spec(x, y, 0.0) is x and blended_spec(x, y, 1.0) is y
+        cov_x, cov_y = x.covariance, y.covariance
+        if cov_x.ndim != cov_y.ndim:  # a law that stores its variances blends as its diagonal matrix
+            cov_x, cov_y = (np.diag(c) if c.ndim == 1 else c for c in (cov_x, cov_y))
+        assert blended_spec(x, y, t).covariance.tobytes() == ((1.0 - t) * cov_x + t * cov_y).tobytes()
 
     def test_constant_path_for_equal_specs(self):
         spec = validate_spec([1.0, 1.0], [[2.0, 1.0], [1.0, 2.0]])

@@ -126,7 +126,7 @@ def test_integer_and_float_arrays_and_lists_of_them_are_accepted():
     assert spec.mean.tolist() == [0.0, 1.0] and spec.covariance.tolist() == [[1.0, 1.0], [1.0, 2.0]]
     assert validate_spec(np.zeros(2), np.array([1, 3], dtype=np.uint8)).covariance.tolist() == [1.0, 3.0]
     assert smooth_max(np.array([1.0, 2.0], dtype=np.float32), P) == smooth_max((1, 2.0), P)
-    config = ExperimentConfig(experiment="sharpness", beta=np.float64(2.0))
+    config = ExperimentConfig(experiment="path-diagnostics", beta=np.float64(2.0))
     assert type(config.beta) is float and config.beta == 2.0
 
 
