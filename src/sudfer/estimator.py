@@ -4,9 +4,12 @@ Every stochastic output is an MCEstimate: a value and its CLT standard error.
 Per-draw maxima come from one primitive for one law or a pair: one call of
 gaussian.common_draw_values, which reduces each shard to one value per row as
 soon as it is transformed, so (samples x n) products never sit in memory.
-iid laws skip the rows: one gaussian.iid_maxima draw serves them, one uniform
-per sample whatever n is, and the zero law's maximum is its mean.  The gap of
-empirical_gap is paired: X and Y share draws, its stderr is the differences'.
+A constant law (an all-zero factor) is its maximum, max(mean): it draws
+nothing, holds no per-draw array, and its estimate is exact.  iid laws skip
+the rows: one gaussian.iid_maxima draw serves them, one uniform per sample
+whatever n is, scaled in place for the last of them.  The gap of
+empirical_gap is paired: X and Y share draws, its stderr is the differences',
+and against a constant it is the other law's, since Var(X - c) = Var(X).
 
 For n = 2 there is a closed form.  With d = mu1 - mu2 and
 theta^2 = Var(V1 - V2) = cov[0,0] + cov[1,1] - 2*cov[0,1],
@@ -62,21 +65,34 @@ def estimate_from_values(values: np.ndarray) -> MCEstimate:
     return MCEstimate(value=float(v.mean()), stderr=float(v.std(ddof=1) / math.sqrt(v.shape[0])))
 
 
-def _maxima(specs: list[GaussianSpec], samples: int, seed: int) -> list[np.ndarray]:
+def _maxima(specs: list[GaussianSpec], samples: int, seed: int) -> list[np.ndarray | float]:
     """Per-draw maxima of laws of one dimension, all from ``seed``, so they are coupled draw by draw.
 
-    If every law is iid (equal variances, so one factor entry sigma, and a constant mean mu), no rows are built:
-    the maxima are mu + sigma * M for one M = iid_maxima(n, samples, seed), or mu (nothing drawn) where sigma = 0.
-    Else every law reduces the rows of one common_draw_values call: uniforms and normals never share a substream.
+    A law with an all-zero factor is constant: its maximum is the float max(mean), and it takes no part in any draw.
+    If every law is iid (equal variances, so one factor entry sigma, and a constant mean mu), no rows are built: the
+    other maxima are mu + sigma * M for one M = iid_maxima(n, samples, seed), the last of them scaled into M itself.
+    Else the other laws reduce the rows of one common_draw_values call: uniforms and normals never share a substream.
     The public callers' samples and seed are checked here: a constant law draws nothing that would check them.
     """
     samples, seed = check_integer("samples", samples, 2), check_seed(seed)
     if len({spec.n for spec in specs}) != 1:
         raise DimensionMismatch(f"laws of one dimension needed, got dimensions {[spec.n for spec in specs]}")
+    maxima: list = [None if s.factor.any() else float(s.mean.max()) for s in specs]
+    drawn = [j for j, m in enumerate(maxima) if m is None]
+    if not drawn:
+        return maxima
     if all(is_iid(s) for s in specs):
-        m = iid_maxima(specs[0].n, samples, seed) if any(s.factor[0] for s in specs) else None
-        return [s.mean[0] + s.factor[0] * m if s.factor[0] else np.full(samples, s.mean[0]) for s in specs]
-    return common_draw_values([(s, _row_max) for s in specs], samples, seed)
+        m = iid_maxima(specs[0].n, samples, seed)
+        for j in drawn[:-1]:
+            maxima[j] = specs[j].mean[0] + specs[j].factor[0] * m
+        m *= specs[drawn[-1]].factor[0]
+        m += specs[drawn[-1]].mean[0]
+        maxima[drawn[-1]] = m
+        return maxima
+    values = common_draw_values([(specs[j], _row_max) for j in drawn], samples, seed)
+    for j, v in zip(drawn, values):
+        maxima[j] = v
+    return maxima
 
 
 def _row_max(rows: np.ndarray) -> np.ndarray:
@@ -93,7 +109,12 @@ def _row_max(rows: np.ndarray) -> np.ndarray:
 
 def expected_max_mc(spec: GaussianSpec, samples: int, seed: int) -> MCEstimate:
     """Monte Carlo estimate of E max_i V_i from its _maxima; deterministic per (spec, samples, seed)."""
-    return estimate_from_values(_maxima([spec], samples, seed)[0])
+    return _estimate(_maxima([spec], samples, seed)[0])
+
+
+def _estimate(maxima: np.ndarray | float) -> MCEstimate:
+    """estimate_from_values of per-draw maxima; a constant law's maximum is exact, with stderr 0."""
+    return MCEstimate(maxima, 0.0) if isinstance(maxima, float) else estimate_from_values(maxima)
 
 
 def _phi(z: float) -> float:
@@ -126,9 +147,17 @@ def empirical_gap(
 
     Both laws take their maxima from the same draws, on derive_seed(seed, 0),
     so the gap's stderr is the sd of the per-draw differences over sqrt(N),
-    not the two stderrs in quadrature.  Laws of two dimensions raise
-    DimensionMismatch.
+    not the two stderrs in quadrature.  Against a constant law c it is the
+    other law's stderr, since Var(X - c) = Var(X): for c = +-0.0 the same bits
+    as the differences', elsewhere the same up to rounding.  Laws of two
+    dimensions raise DimensionMismatch.
     """
     mx, my = _maxima([spec_x, spec_y], samples, derive_seed(seed, 0))
-    est_x, est_y = estimate_from_values(mx), estimate_from_values(my)
-    return est_x, est_y, MCEstimate(est_x.value - est_y.value, estimate_from_values(mx - my).stderr)
+    est_x, est_y = _estimate(mx), _estimate(my)
+    if isinstance(my, float):
+        stderr = est_x.stderr
+    elif isinstance(mx, float):
+        stderr = est_y.stderr
+    else:
+        stderr = estimate_from_values(mx - my).stderr
+    return est_x, est_y, MCEstimate(est_x.value - est_y.value, stderr)

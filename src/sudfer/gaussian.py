@@ -28,7 +28,11 @@ and transformed into a second, both reused; the last diagonal law is
 transformed in place when no later law draws, so a lone diagonal law holds one
 1 MiB buffer whatever n is.  The block size is a fixed rule, never tuned per
 machine: a dense product's last bits may depend on its row count, so a block
-that varied would make report bodies machine-dependent.  Per-row values go
+that varied would make report bodies machine-dependent.  A dense law's factor
+depends on the BLAS library too: with OpenBLAS, np.linalg.cholesky of an
+n = 256 wishart covariance differs in its last bits between 1 and 2 threads
+(the products do not), so a dense law's draws are reproducible for one BLAS
+build and thread count; diagonal laws never call BLAS.  Per-row values go
 into one result per law, preallocated.  Each law is checked and factored
 once, when its GaussianSpec is built, by one decomposition (:func:`_factor`);
 a diagonal law is decided on its variances alone, whatever their signs, skips

@@ -120,15 +120,19 @@ class TestIidShortcut:
         assert expected_max_mc(spec, count, seed=52) == expected
 
     def test_a_constant_law_draws_nothing_and_keeps_its_estimate(self, monkeypatch):
-        spec = validate_spec(np.full(5, 1.5), np.zeros((5, 5)))
-        (rows,) = common_draw_values([(spec, lambda rows: rows.max(axis=1))], 1000, seed=53)
+        # An all-zero factor makes a law constant, whether or not its mean is: its maximum is max(mean).
+        specs = [validate_spec(np.full(5, 1.5), np.zeros((5, 5))), validate_spec([0.0, 1.0], np.zeros((2, 2)))]
+        rows = [common_draw_values([(spec, row_max)], 1000, seed=53)[0] for spec in specs]
         monkeypatch.setattr(np.random, "default_rng", None)  # any draw would fail
-        est = expected_max_mc(spec, 1000, seed=53)
-        assert (est.value, est.stderr) == (1.5, 0.0)
-        assert est == estimate_from_values(rows)
+        for spec, maxima in zip(specs, rows):
+            est = expected_max_mc(spec, 1000, seed=53)
+            assert (est.value, est.stderr) == (spec.mean.max(), 0.0)
+            assert est == estimate_from_values(maxima)
+        est_x, est_y, gap = empirical_gap(specs[0], validate_spec(np.full(5, -0.5), np.zeros(5)), 1000, seed=53)
+        assert (est_x, est_y, gap) == (MCEstimate(1.5, 0.0), MCEstimate(-0.5, 0.0), MCEstimate(2.0, 0.0))
 
     def test_other_diagonal_laws_reduce_their_rows(self):
-        for mean, cov in (([0.0, 1.0], np.eye(2)), (np.zeros(2), np.diag([1.0, 2.0])), ([0.0, 1.0], np.zeros((2, 2)))):
+        for mean, cov in (([0.0, 1.0], np.eye(2)), (np.zeros(2), np.diag([1.0, 2.0]))):
             spec = validate_spec(mean, cov)
             (maxima,) = common_draw_values([(spec, lambda rows: rows.max(axis=1))], 1000, seed=54)
             assert expected_max_mc(spec, 1000, seed=54) == estimate_from_values(maxima)
@@ -267,6 +271,34 @@ class TestEmpiricalGap:
         empirical_gap(x, y, 1000, seed=35)
         assert calls == [[x, y]]  # GaussianSpec compares by identity
 
+    def test_a_dense_law_paired_with_a_constant_draws_alone_with_the_same_bits(self, monkeypatch):
+        calls = []
+
+        def spy(laws, count, seed):
+            calls.append([spec for spec, _ in laws])
+            return common_draw_values(laws, count, seed)
+
+        # The dense law's maxima are those it has when the constant law shares its common_draw_values call.
+        x = random_spec(6, 37, "wishart")
+        constants = [zero_spec(6), validate_spec([0.0, 2.0, -1.0, 0.5, 0.0, 1.0], np.zeros(6))]
+        want = [common_draw_values([(x, estimator._row_max), (c, estimator._row_max)], 1000, 37)[0] for c in constants]
+        monkeypatch.setattr(estimator, "common_draw_values", spy)
+        for c, want_x in zip(constants, want):
+            for pair, j in (([x, c], 0), ([c, x], 1)):
+                maxima = estimator._maxima(pair, 1000, 37)
+                assert np.array_equal(maxima[j].view(np.uint64), want_x.view(np.uint64))
+                assert maxima[1 - j] == float(c.mean.max())
+        assert calls == 4 * [[x]]
+
+
+    def test_the_iid_gap_against_the_zero_law_holds_two_per_draw_arrays(self, traced_peak):
+        # The iid maxima, scaled in place, and one temporary of the sd; the zero law holds no per-draw array.
+        # 2 MiB of slack covers iid_maxima's per-shard temporaries (and a first import of numpy.random).
+        x, y, samples = iid_standard_spec(4096), zero_spec(4096), 10**6
+        (est_x, est_y, gap), peak = traced_peak(lambda: empirical_gap(x, y, samples, 5))
+        assert (est_y, gap) == (MCEstimate(0.0, 0.0), est_x)
+        assert peak <= 2 * 8 * samples + 2**21
+
 
 class TestNarrowRowMaxima:
     """Rows of fewer than 32 columns are folded column by column; every other width keeps numpy's row max."""
@@ -309,6 +341,31 @@ def _pair_laws(n, kinds, seed):
 
 
 class TestPairedStderrProperty:
+    @given(
+        n=st.integers(1, 6),
+        mus=st.tuples(*2 * [st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0))]),
+        variances=st.tuples(*2 * [st.one_of(st.just(0.0), st.floats(0.01, 9.0))]),
+        samples=st.integers(2, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_an_iid_or_constant_pair_gap_is_its_definition(self, n, mus, variances, samples, seed):
+        # The definition: per-draw maxima mu + sigma * M on one iid_maxima draw M, or mu on every draw if sigma = 0.
+        x, y = (validate_spec(np.full(n, mu), np.full(n, v)) for mu, v in zip(mus, variances))
+        m = iid_maxima(n, samples, derive_seed(seed, 0))
+        mx, my = (s.mean[0] + s.factor[0] * m if s.factor[0] else np.full(samples, s.mean[0]) for s in (x, y))
+        want_x, want_y = estimate_from_values(mx), estimate_from_values(my)
+        want_stderr = estimate_from_values(mx - my).stderr
+        est_x, est_y, gap = empirical_gap(x, y, samples, seed)
+        assert (est_x, est_y) == (want_x, want_y)
+        assert gap.value == want_x.value - want_y.value
+        # Against a constant c the gap's stderr is the other law's: the differences' exactly when c is a zero,
+        # up to the rounding of m - c elsewhere.
+        if all(s.factor[0] or s.mean[0] == 0.0 for s in (x, y)):
+            assert gap.stderr == want_stderr
+        else:
+            assert gap.stderr == pytest.approx(want_stderr, rel=1e-12, abs=0)
+
+
     @given(
         n=st.integers(1, 6),
         kinds=st.tuples(*2 * [st.sampled_from(["dense", "diagonal", "iid", "zero"])]),
