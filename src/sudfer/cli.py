@@ -2,7 +2,10 @@
 
 Runs one experiment, writes the report as JSON or CSV (stdout by default),
 and exits 0 when the summary verdict passes, 2 when it fails, 1 on any
-configuration or runtime error.
+configuration or runtime error.  Where the report goes and its format are
+settings of the command, checked before the run, not ExperimentConfig
+fields: ``--output`` and ``--format``, or the ``output_path`` and ``format``
+keys of a ``--config`` file.
 """
 
 from __future__ import annotations
@@ -12,9 +15,11 @@ import json
 import sys
 from typing import Any, Callable
 
-from .errors import SudferError
-from .experiments import EXPERIMENTS, FORMATS, GENERATORS, ExperimentConfig, run_experiment
+from .errors import ConfigError, SudferError
+from .experiments import EXPERIMENTS, GENERATORS, ExperimentConfig, run_experiment
 from .reports import write_report
+
+FORMATS = ("json", "csv")
 
 
 def _comma_list(cast: type, unwrap_one: bool = False) -> Callable[[str], Any]:
@@ -90,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+def config_from_args(args: argparse.Namespace) -> tuple[ExperimentConfig, str | None, str]:
+    """``(config, output_path, format)`` from the --config document and the flags, which override it."""
     doc: dict = {}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as handle:
@@ -101,21 +107,26 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if not isinstance(loaded, dict):
             raise SudferError(f"config file must hold a JSON object, got {type(loaded).__name__}")
         doc.update(loaded)
-    # Every flag's destination is the config field it sets.
+    # Every flag's destination is the document key it sets.
     doc.update((key, value) for key, value in vars(args).items() if key != "config" and value is not None)
+    output_path, format = doc.pop("output_path", None), doc.pop("format", "json")
     unknown = set(doc) - set(ExperimentConfig.__dataclass_fields__)
     if unknown:
         raise SudferError(f"unknown config fields: {sorted(unknown)}")
-    return ExperimentConfig(**doc)
+    if not (output_path is None or isinstance(output_path, str)):
+        raise ConfigError(f"output_path must be a string or null, got {output_path!r}")
+    if format not in FORMATS:
+        raise ConfigError(f"format must be one of {FORMATS}, got {format!r}")
+    return ExperimentConfig(**doc), output_path, format
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
+        config, output_path, format = config_from_args(args)
         report = run_experiment(config)
-        write_report(report, config.output_path, config.format)
+        write_report(report, output_path, format)
     except (SudferError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

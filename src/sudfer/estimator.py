@@ -150,10 +150,13 @@ def empirical_gap(
     not the two stderrs in quadrature.  Against a constant law c it is the
     other law's stderr, since Var(X - c) = Var(X): for c = +-0.0 the same bits
     as the differences', elsewhere the same up to rounding.  Laws of two
-    dimensions raise DimensionMismatch.
+    dimensions raise DimensionMismatch, and a gap past the float range
+    raises InvalidInput.
     """
     mx, my = _maxima([spec_x, spec_y], samples, derive_seed(seed, 0))
     est_x, est_y = _estimate(mx), _estimate(my)
+    if not math.isfinite(est_x.value - est_y.value):
+        raise InvalidInput(f"the gap {est_x.value!r} - {est_y.value!r} of the expected maxima overflows float64")
     if isinstance(my, float):
         stderr = est_x.stderr
     elif isinstance(mx, float):

@@ -2,11 +2,12 @@
 
 ``run_experiment`` is the one entry point: it runs the experiment's row of
 the table of experiments, times it, and builds the report.  Each row also
-lists the config fields its runner never reads, and ``ExperimentConfig``
-raises ConfigError at construction on one of them off its default, a bad
-name or number, an empty n list, sharpness with an n < 2, path-diagnostics
-with no grid or a point outside (0, 1), inline specs that are not objects
-or lack the "explicit" generator, or it without ``spec_x`` or with an ``n``.
+lists the config fields its runner never reads: the report's config block
+echoes every other field, and ``ExperimentConfig`` raises ConfigError at
+construction on one of them off its default, a bad name or number, an
+empty n list, sharpness with an n < 2, path-diagnostics with no grid or a
+point outside (0, 1), inline specs that are not objects or lack the
+"explicit" generator, or it without ``spec_x`` or with an ``n``.
 
 Every run is a pure function of its config: per-trial seeds are derived
 from (config.seed, trial index), so reruns reproduce the report body byte
@@ -42,7 +43,6 @@ from .reports import ExperimentReport
 from .smoothmax import SmoothMaxParams, _smooth_max_rows
 
 GENERATORS = ("wishart", "equicorrelated", "diagonal", "explicit")
-FORMATS = ("json", "csv")
 
 # Inverse temperature used when beta="auto" has no discrepancy to optimize
 # against (single-law experiments, identical pairs).
@@ -122,15 +122,16 @@ def dominated_pair(n: int, seed: int, generator: str) -> tuple[GaussianSpec, Gau
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one experiment run depends on.
+    """Everything one experiment run depends on, and nothing else.
 
     ``n`` may be a single dimension or a list; multi-trial experiments cycle
     through the list trial by trial.  ``beta`` is either a positive float or
     "auto" (resolved per trial via the optimal tradeoff beta when the pair
     has a positive discrepancy).  ``spec_x``/``spec_y`` hold inline
-    mean/covariance documents for the "explicit" generator.  ``output_path``
-    is a string or None (stdout).  A field the experiment never reads keeps
-    its default, so the echo holds only what the run used: this and every
+    mean/covariance documents for the "explicit" generator.  Where the report
+    goes, and in which format, are settings of the command line, not fields.
+    A field the experiment never reads keeps its default and is left out of
+    the echo, so the echo holds exactly what the run used: this and every
     rule of the module docstring is checked here, at construction, and a
     broken one raises ConfigError.
     """
@@ -143,22 +144,18 @@ class ExperimentConfig:
     grid: tuple[float, ...] = DEFAULT_GRID
     trials: int = 10
     generator: str = "wishart"
-    output_path: str | None = None
-    format: str = "json"
     spec_x: dict | None = None
     spec_y: dict | None = None
 
     def __post_init__(self) -> None:
-        for name, choices in (("experiment", EXPERIMENTS), ("generator", GENERATORS), ("format", FORMATS)):
+        for name, choices in (("experiment", EXPERIMENTS), ("generator", GENERATORS)):
             value = getattr(self, name)
             if not (isinstance(value, str) and value in choices):  # `in` on an array would not be a bool
                 raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
-        for name, kind, noun in (
-            ("output_path", str, "a string"), ("spec_x", dict, "an object"), ("spec_y", dict, "an object")
-        ):
+        for name in ("spec_x", "spec_y"):
             value = getattr(self, name)
-            if not (value is None or isinstance(value, kind)):
-                raise ConfigError(f"{name} must be {noun} or null, got {value!r}")
+            if not (value is None or isinstance(value, dict)):
+                raise ConfigError(f"{name} must be an object or null, got {value!r}")
         if isinstance(self.n, (list, tuple)) and not self.n:
             raise ConfigError("n must hold at least one dimension, got an empty list")
         if not isinstance(self.grid, (list, tuple, np.ndarray)):
@@ -202,23 +199,13 @@ class ExperimentConfig:
         return (self.n,)
 
     def echo(self) -> dict[str, Any]:
-        """Config as echoed in reports: the semantic fields only (where the
-        report is written, and in which format, cannot change its body)."""
-        doc: dict[str, Any] = {
-            "experiment": self.experiment,
-            "n": list(self.n) if isinstance(self.n, tuple) else self.n,
-            "samples": self.samples,
-            "seed": self.seed,
-            "beta": self.beta,
-            "grid": list(self.grid),
-            "trials": self.trials,
-            "generator": self.generator,
+        """Config as echoed in reports: every field the experiment reads, tuples as lists, inline specs when set."""
+        _, unread = _EXPERIMENTS[self.experiment]
+        return {
+            name: list(value) if isinstance(value, tuple) else value
+            for name, value in ((f.name, getattr(self, f.name)) for f in fields(self))
+            if name not in unread and not (value is None and name.startswith("spec_"))
         }
-        if self.spec_x is not None:
-            doc["spec_x"] = self.spec_x
-        if self.spec_y is not None:
-            doc["spec_y"] = self.spec_y
-        return doc
 
 
 def _resolve_beta(config: ExperimentConfig, optimal: float = math.inf) -> float:

@@ -65,10 +65,14 @@ def _check_vectors(x, params) -> np.ndarray:
 
 
 def _exp_shifted(a: np.ndarray, beta: float) -> np.ndarray:
-    """Overwrite a with exp(beta*(a - max)) along the last axis; return the max, keepdims."""
+    """Overwrite a with exp(beta*(a - max)) along the last axis; return the max, keepdims.
+
+    A shifted entry is <= 0, so where the subtraction or the product overflows it is -inf, whose exp is the
+    right 0: that overflow is the expected case, not an error."""
     m = a.max(axis=-1, keepdims=True)
-    np.subtract(a, m, out=a)
-    np.multiply(beta, a, out=a)
+    with np.errstate(over="ignore"):
+        np.subtract(a, m, out=a)
+        np.multiply(beta, a, out=a)
     np.exp(a, out=a)
     return m
 

@@ -48,15 +48,16 @@ class TestParsing:
 
 class TestConfigAssembly:
     def test_flags_override_document(self, tmp_path):
-        doc = {"n": 4, "samples": 5000, "seed": 1, "trials": 3}
+        doc = {"n": 4, "samples": 5000, "seed": 1, "trials": 3, "output_path": "a.json", "format": "csv"}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
-        args = parse(["bound-check", "--config", str(path), "--seed", "9"])
-        config = config_from_args(args)
+        args = parse(["bound-check", "--config", str(path), "--seed", "9", "--output", "b.csv"])
+        config, output_path, format = config_from_args(args)
         assert config.experiment == "bound-check"
         assert config.n == 4
         assert config.seed == 9
         assert config.trials == 3
+        assert (output_path, format) == ("b.csv", "csv")
 
     def test_unknown_config_fields_rejected(self, tmp_path):
         path = tmp_path / "config.json"
@@ -140,7 +141,7 @@ class TestConfigAssembly:
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
-        config = config_from_args(parse(["stein-check", "--config", str(path)]))
+        config, _, _ = config_from_args(parse(["stein-check", "--config", str(path)]))
         assert config.generator == "explicit"
         assert config.spec_x["mean"] == [0.0, 0.0]
 
@@ -251,18 +252,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "allocate" in err
 
-    def test_overflowing_law_prints_only_its_error_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "specs, message",
+        [
+            (
+                {"spec_x": {"mean": [0.0, 0.0], "covariance": [[1e308, 0.0], [0.0, 1e308]]}},
+                "increment entries must be finite: the law's scale overflows float64",
+            ),
+            (
+                {
+                    "spec_x": {"mean": [1e308], "covariance": [[1.0]]},
+                    "spec_y": {"mean": [-1e308], "covariance": [[1.0]]},
+                },
+                "the gap 1e+308 - -1e+308 of the expected maxima overflows float64",
+            ),
+        ],
+        ids=["huge-covariance", "huge-means"],
+    )
+    def test_overflowing_law_prints_only_its_error_line(self, tmp_path, specs, message):
         # Run as a process with warnings shown: no numpy RuntimeWarning may
         # precede the error line.
-        doc = {"samples": 2000, "trials": 1, "spec_x": {"mean": [0.0, 0.0], "covariance": [[1e308, 0.0], [0.0, 1e308]]}}
         path = tmp_path / "huge.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps({"samples": 2000, "trials": 1, **specs}))
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="default")
         argv = [sys.executable, "-m", "sudfer.cli", "bound-check", "--generator", "explicit", "--config", str(path)]
         proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 1
-        assert proc.stderr == "error: increment entries must be finite: the law's scale overflows float64\n"
+        assert proc.stderr == f"error: {message}\n"
 
     @pytest.mark.parametrize("value", [True, 1, 2])
     def test_output_path_must_be_a_string_or_null(self, tmp_path, value):
@@ -276,6 +293,23 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == f"error: output_path must be a string or null, got {value!r}\n"
+
+    @pytest.mark.parametrize("value", ["xml", "JSON", None, ["json"], 1])
+    def test_a_bad_format_in_the_config_file_exits_one_before_the_run(self, tmp_path, monkeypatch, capsys, value):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n": 4, "samples": 2000, "format": value}))
+        monkeypatch.setattr("sudfer.cli.run_experiment", lambda config: pytest.fail("the run started"))
+        assert main(["sharpness", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: format must be one of ('json', 'csv'), got {value!r}\n"
+
+    def test_the_config_file_sets_the_output_path_and_format(self, tmp_path):
+        out = tmp_path / "report.csv"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n": 2, "samples": 2000, "output_path": str(out), "format": "csv"}))
+        assert main(["sharpness", "--config", str(path)]) == 0
+        assert out.read_text().startswith("n,gamma,bound,")
 
     def test_csv_output(self, tmp_path):
         out = tmp_path / "report.csv"

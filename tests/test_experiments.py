@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ def body_text(report):
 
 DOC_X = {"mean": [0.0, 0.0], "covariance": [[1.0, 0.2], [0.2, 1.0]]}
 DOC_Y = {"mean": [0.0, 0.0], "covariance": [[2.0, 0.2], [0.2, 2.0]]}
-# A value off its default for every field a runner may read.
+# A value off its default for every field but the experiment's name.
 OFF_DEFAULT = {
     "n": 3,
     "samples": 300,
@@ -54,6 +56,12 @@ def table_fields(read):
         for name in OFF_DEFAULT:
             if (name not in unread) == read:
                 yield experiment, name
+
+
+def read_fields(experiment):
+    """The config fields the experiment's runner reads, in field order: all but its name and its unread tuple."""
+    _, unread = experiments._EXPERIMENTS[experiment]
+    return [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "experiment" and f.name not in unread]
 
 
 def tiny_config(experiment, field):
@@ -135,7 +143,7 @@ class TestExperimentConfig:
         config = ExperimentConfig(experiment="bound-check")
         assert config.samples == 100_000
         assert config.beta == "auto"
-        assert config.format == "json"
+        assert config.generator == "wishart"
 
     def test_n_normalization(self):
         assert ExperimentConfig(experiment="sharpness", n=[2, 4]).n == (2, 4)
@@ -147,8 +155,6 @@ class TestExperimentConfig:
             ExperimentConfig(experiment="nonsense")
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="sharpness", generator="magic")
-        with pytest.raises(ConfigError):
-            ExperimentConfig(experiment="sharpness", format="xml")
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="sharpness", samples=1)
         with pytest.raises(ConfigError):
@@ -171,8 +177,9 @@ class TestExperimentConfig:
     def test_names_must_be_strings(self):
         # An array is refused before any membership test (whose truth value would be ambiguous), and a one-element
         # array is not echoed in the report as an array.
-        for field in ("experiment", "generator", "format"):
-            for value in (np.array(["sharpness", "x"]), np.array(["json"]), np.array("csv"), ["wishart"], 1, None):
+        for field in ("experiment", "generator"):
+            arrays = (np.array(["sharpness", "x"]), np.array(["wishart"]), np.array("diagonal"))
+            for value in (*arrays, ["wishart"], 1, None):
                 fields = {"experiment": "sharpness", field: value}
                 with pytest.raises(ConfigError, match=f"{field} must be one of"):
                     ExperimentConfig(**fields)
@@ -225,6 +232,39 @@ class TestExperimentConfig:
         # The other direction: a field the table lets through moves the records or the summary, not just the echo.
         config = tiny_config(experiment, field)
         assert results(dataclasses.replace(config, **{field: OFF_DEFAULT[field]})) != results(config)
+
+    def test_off_default_values_cover_every_field(self):
+        # The two table tests above draw their fields from OFF_DEFAULT, so a field missing here would go unchecked.
+        assert list(OFF_DEFAULT) == [f.name for f in dataclasses.fields(ExperimentConfig)][1:]
+        assert all(OFF_DEFAULT[f.name] != f.default for f in dataclasses.fields(ExperimentConfig)[1:])
+
+    @pytest.mark.parametrize(
+        "experiment, explicit",
+        [(experiment, False) for experiment in experiments.EXPERIMENTS]
+        + [(experiment, True) for experiment in experiments.EXPERIMENTS if "spec_x" in read_fields(experiment)],
+    )
+    def test_the_report_echoes_exactly_the_fields_the_experiment_reads(self, experiment, explicit):
+        # The echo is the experiment's name and every field it reads, in field order, tuples as lists; an inline
+        # spec is echoed only when it is set.
+        read = read_fields(experiment)
+        fields = {name: value for name, value in (("trials", 1), ("grid", (0.5,))) if name in read}
+        if explicit:
+            fields.update(generator="explicit", spec_x=DOC_X, spec_y=DOC_Y if "spec_y" in read else None)
+        else:
+            fields["n"] = [2, 3]
+        config = ExperimentConfig(experiment=experiment, samples=200, **fields)
+        expected = {"experiment": experiment}
+        for name in read:
+            value = getattr(config, name)
+            if value is not None or not name.startswith("spec_"):
+                expected[name] = list(value) if isinstance(value, tuple) else value
+        assert list(run_experiment(config).config.items()) == list(expected.items())
+
+    def test_the_readme_table_is_the_table_of_experiments(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = readme.split("| experiment | reads |\n|---|---|\n", 1)[1].split("\n\n", 1)[0].splitlines()
+        table = {names[0]: names[1:] for names in (re.findall(r"`([^`]+)`", row) for row in rows)}
+        assert table == {experiment: read_fields(experiment) for experiment in experiments.EXPERIMENTS}
 
     @pytest.mark.parametrize("field", ["spec_x", "spec_y"])
     def test_an_inline_spec_is_an_object(self, field):
@@ -608,16 +648,3 @@ class TestDeterminismAndDispatch:
         assert body_text(a) == body_text(b)
         other = ExperimentConfig(experiment="bound-check", n=3, trials=2, samples=5000, seed=15)
         assert body_text(run_experiment(other)) != body_text(a)
-
-    def test_output_settings_do_not_change_the_body(self):
-        base = ExperimentConfig(experiment="stein-check", n=2, trials=1, samples=2000, seed=17)
-        redirected = ExperimentConfig(
-            experiment="stein-check",
-            n=2,
-            trials=1,
-            samples=2000,
-            seed=17,
-            output_path="/tmp/anywhere.json",
-            format="csv",
-        )
-        assert body_text(run_experiment(base)) == body_text(run_experiment(redirected))

@@ -45,6 +45,12 @@ class TestSmoothMaxValue:
     def test_huge_spread_never_overflows(self):
         # exp(1000) would overflow; max-subtraction turns it into exp(-1000).
         assert smooth_max([1000.0, 0.0], SmoothMaxParams(1.0)) == 1000.0
+        # A shift or a scaled shift past the float range is -inf, whose exp is the right 0, with no warning (the
+        # suite turns RuntimeWarning into an error).
+        assert smooth_max([1e308, -1e308], SmoothMaxParams(1.0)) == 1e308
+        assert np.array_equal(softmax([1e308, -1e308], SmoothMaxParams(1.0)), [1.0, 0.0])
+        assert smooth_max([0.0, -1e300], SmoothMaxParams(1e10)) == 0.0
+        assert sandwich_gap([0.0, -1e300], SmoothMaxParams(1e10)) == (0.0, math.log(2.0) / 1e10)
 
     def test_broadcasts_over_rows(self):
         params = SmoothMaxParams(2.0)
