@@ -21,8 +21,11 @@ Sampling is deterministic per (spec, count, seed): the batch is the
 concatenation of fixed-size shards, shard k drawn from the substream
 SeedSequence(seed, spawn_key=(k,)).  Worker count or chunked consumption can
 never change the result.  Laws of one dimension share the normals of a seed,
-so :func:`common_draw_values`, on which every Monte Carlo estimator is built,
-draws each shard once for a group of laws and keeps per-row reductions only.
+so one loop, the private generator :func:`_draw_blocks`, draws each shard
+once for a group of laws and yields each law's per-row reduction of each
+block with its row offset.  Every Monte Carlo estimator is built on it:
+:func:`common_draw_values` collects the blocks into one preallocated result
+per law, and a caller that needs only sums (the Stein check) folds them.
 A shard is drawn in row blocks of about 1 MiB (BLOCK_BYTES) into one buffer
 and transformed into a second, both reused; the last diagonal law is
 transformed in place when no later law draws, so a lone diagonal law holds one
@@ -32,11 +35,10 @@ that varied would make report bodies machine-dependent.  A dense law's factor
 depends on the BLAS library too: with OpenBLAS, np.linalg.cholesky of an
 n = 256 wishart covariance differs in its last bits between 1 and 2 threads
 (the products do not), so a dense law's draws are reproducible for one BLAS
-build and thread count; diagonal laws never call BLAS.  Per-row values go
-into one result per law, preallocated.  Each law is checked and factored
-once, when its GaussianSpec is built, by one decomposition (:func:`_factor`);
-a diagonal law is decided on its variances alone, whatever their signs, skips
-every O(n^3) step, and built from its variances costs O(n).
+build and thread count; diagonal laws never call BLAS.  Each law is checked
+and factored once, when its GaussianSpec is built, by one decomposition
+(:func:`_factor`); a diagonal law is decided on its variances alone, whatever
+their signs, skips every O(n^3) step, and built from its variances costs O(n).
 
 :func:`iid_maxima` draws the maximum of n iid standard normals without the
 vector: one uniform per draw, inverted through Phi^n with Wichura's AS241,
@@ -287,25 +289,21 @@ def _transform(z: np.ndarray, factor: np.ndarray, mean: np.ndarray, out: np.ndar
     return out
 
 
-def common_draw_values(
+def _draw_blocks(
     laws: Sequence[tuple[GaussianSpec, Callable[[np.ndarray], np.ndarray]]], count: int, seed: int
-) -> list[np.ndarray]:
-    """Per-row values of several laws evaluated on common standard normals.
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The one normal-draw loop: ``(j, start, values)``, law j's reduced rows [start, start + len(values)).
 
     ``laws`` is a sequence of ``(spec, reduce)`` pairs of one dimension, and
     ``count`` an integer.  Shard k (rows [k*SHARD_ROWS, ...)) draws z from the
     one generator derived from (seed, k), in consecutive row blocks of about
     1 MiB whose rows depend on n alone, each transformed by each law's factor
     in turn (in the z buffer itself for the last law that draws, if it is
-    diagonal); ``reduce`` returns one entry per row, with the same trailing
-    shape on every block (else InvalidInput), kept in law j's preallocated
-    result, which no other law changes: ``sample(spec, count, seed)`` is
-    ``common_draw_values([(spec, np.asarray)], count, seed)[0]``.  Prefixes
-    agree bitwise, except that a dense product's last bits depend on its row
-    count: rows of a final block that a count cut short may differ.  A law with
-    an all-zero factor is its mean on every row and draws no normals.
-    ``reduce`` may modify its rows or return a view of them, which the result
-    copies; neither reaches another law or block.
+    diagonal) and handed to that law's ``reduce``.  It must return one entry
+    per row, with the same trailing shape on every block (else InvalidInput).
+    A law with an all-zero factor is its mean on every row and draws no
+    normals.  ``reduce`` may modify its rows or return a view of them: the
+    buffers are reused, so ``values`` holds only until the next block is drawn.
     """
     count, seed = check_integer("count", count, 1), check_seed(seed)
     dimensions = {spec.n for spec, _ in laws}
@@ -320,7 +318,7 @@ def common_draw_values(
     shape = (min(block, count), n)
     zbuf = np.empty(shape if drawn else (0, n))
     rowbuf = np.empty(shape) if len(laws) > (in_place is not None) else None
-    results: list[np.ndarray | None] = [None] * len(laws)
+    trailing: dict[int, tuple] = {}  # law j's trailing shape, from its first block
     for k, first in enumerate(range(0, count, SHARD_ROWS)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,))) if drawn else None
         for start in range(first, min(first + SHARD_ROWS, count), block):
@@ -335,11 +333,28 @@ def common_draw_values(
                 else:
                     out[...] = spec.mean
                 values = np.asarray(reduce(out))
-                if results[j] is None and values.ndim > 0:
-                    results[j] = np.empty((count,) + values.shape[1:], values.dtype)
-                if results[j] is None or values.shape != (rows,) + results[j].shape[1:]:
+                if values.ndim == 0 or values.shape != (rows,) + trailing.setdefault(j, values.shape[1:]):
                     raise InvalidInput(f"reduce must return one entry per row ({rows}), got shape {values.shape}")
-                results[j][start : start + rows] = values
+                yield j, start, values
+
+
+def common_draw_values(
+    laws: Sequence[tuple[GaussianSpec, Callable[[np.ndarray], np.ndarray]]], count: int, seed: int
+) -> list[np.ndarray]:
+    """Per-row values of several laws evaluated on common standard normals: the collector of :func:`_draw_blocks`.
+
+    Law j's result is preallocated at its first block, with that block's
+    dtype and trailing shape, and each block is copied in at its row offset,
+    so no other law or block changes it: ``sample(spec, count, seed)`` is
+    ``common_draw_values([(spec, np.asarray)], count, seed)[0]``.  Prefixes
+    agree bitwise, except that a dense product's last bits depend on its row
+    count: rows of a final block that a count cut short may differ.
+    """
+    results: list[np.ndarray | None] = [None] * len(laws)
+    for j, start, values in _draw_blocks(laws, count, seed):
+        if results[j] is None:
+            results[j] = np.empty((count,) + values.shape[1:], values.dtype)
+        results[j][start : start + len(values)] = values
     return results
 
 

@@ -21,6 +21,9 @@ t, so each estimator is a reduction passed to gaussian.common_draw_values.
 The smooth max and softmax reductions of phi and phi_derivative overwrite
 the sample block they are handed (smoothmax's private row reductions), so
 a dense law holds no block-sized temporary beyond the integrand's product.
+The residual check takes its blocks from the same draw loop
+(gaussian._draw_blocks) and folds each into per-coordinate sums as it
+comes, so its memory is a few blocks whatever the sample count.
 Whenever two quantities are differenced (finite differences, the
 integration-by-parts residual), both sides are evaluated on common draws:
 variance reduction with no bias.
@@ -36,7 +39,9 @@ import numpy as np
 
 from .errors import DomainError, InvalidInput, check_integer, check_real
 from .estimator import MCEstimate, estimate_from_values
-from .gaussian import GaussianSpec, _covariance_times, _difference_panels, blended_spec, common_draw_values
+from .gaussian import (
+    GaussianSpec, _covariance_times, _difference_panels, _draw_blocks, blended_spec, common_draw_values
+)
 from .smoothmax import SmoothMaxParams, _check_params, _smooth_max_rows, _softmax_rows, smooth_max, softmax
 
 # Cap on the half-width of the central finite-difference step.
@@ -117,25 +122,31 @@ def phi_derivative(
     )
 
 
-def stein_residual_values(
+def stein_residuals(
     spec: GaussianSpec,
     params: SmoothMaxParams,
     samples: int,
     seed: int,
     functional: Callable[[np.ndarray], np.ndarray] | None = None,
     gradient: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> np.ndarray:
-    """Per-draw residuals of the Gaussian integration-by-parts identity.
+) -> list[MCEstimate]:
+    """Residual estimates of the Gaussian integration-by-parts identity, one per coordinate.
 
     For a law with mean mu and covariance S, the identity says
     E((V_i - mu_i) F(V)) = sum_j S[i,j] E(dF/dx_j (V)) for every i.  The
-    returned (samples x n) matrix holds, per draw and coordinate,
+    per-draw residual of coordinate i,
 
         (V_i - mu_i) * F(V) - sum_j S[i,j] * dF/dx_j(V),
 
-    built from common draws for both terms.  Column means estimate the
-    residuals, which are zero in expectation for any C^1 functional of
-    moderate growth; the default functional is the smooth max.
+    is built from common draws for both terms and is zero in expectation for
+    any C^1 functional of moderate growth; the default functional is the
+    smooth max.  ``functional`` must return one value per row and
+    ``gradient`` one row per row (else InvalidInput).  Each block of draws is
+    folded into per-coordinate means and sums of squared deviations by Chan,
+    Golub & LeVeque's pairwise update, in block order, so memory does not grow
+    with samples x n; the estimate is the mean with stderr sd/sqrt(N), and a
+    zero-variance coordinate, whose residuals are all zero, gets exactly
+    (0.0, 0.0).  A residual that is not finite raises InvalidInput.
     """
     params, samples = _check_params(params), check_integer("samples", samples, 2)
     if (functional is None) != (gradient is None):
@@ -146,20 +157,19 @@ def stein_residual_values(
     def residual(rows: np.ndarray) -> np.ndarray:
         f = np.asarray(functional(rows), dtype=np.float64)
         g = np.asarray(gradient(rows), dtype=np.float64)
+        if f.shape != rows.shape[:1] or g.shape != rows.shape:
+            raise InvalidInput(f"functional and gradient shapes {f.shape} and {g.shape} do not fit rows {rows.shape}")
         return (rows - spec.mean) * f[:, None] - _covariance_times(spec, g)
 
-    return common_draw_values([(spec, residual)], samples, seed)[0]
-
-
-def stein_residuals(
-    spec: GaussianSpec,
-    params: SmoothMaxParams,
-    samples: int,
-    seed: int,
-    functional: Callable[[np.ndarray], np.ndarray] | None = None,
-    gradient: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> list[MCEstimate]:
-    """Residual estimates for every coordinate, from one shared batch."""
-    values = stein_residual_values(spec, params, samples, seed, functional, gradient)
-    return [estimate_from_values(values[:, i]) for i in range(spec.n)]
-
+    mean, squares = np.zeros(spec.n), np.zeros(spec.n)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is reported once, below
+        for _, start, values in _draw_blocks([(spec, residual)], samples, seed):
+            block_mean = values.mean(axis=0)
+            values -= block_mean
+            delta, weight = block_mean - mean, len(values) / (start + len(values))
+            mean += delta * weight
+            squares += np.einsum("ij,ij->j", values, values) + delta * delta * (start * weight)
+    if not (np.isfinite(mean).all() and np.isfinite(squares).all()):
+        raise InvalidInput("stein residuals must be finite: the functional, its gradient or the law overflows float64")
+    stderr = np.sqrt(squares / (samples - 1)) / np.sqrt(samples)
+    return [MCEstimate(float(m), float(e)) for m, e in zip(mean, stderr)]

@@ -1,7 +1,8 @@
 """Source-level checks in place of a linter: no unused imports or private
 helpers in the package, ``sudfer.__all__`` lists exactly the public names,
-scalar arguments are type-checked in one module only, and the benchmark
-tracer's layers name functions that exist."""
+scalar arguments are type-checked in one module only, per-shard substreams
+are opened by the two draw loops only, and the benchmark tracer's layers
+name functions that exist."""
 
 import ast
 import importlib
@@ -85,6 +86,20 @@ def test_only_the_errors_module_reads_the_numbers_abcs(path):
         node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
     }
     assert uses == (path.name == "errors.py")
+
+
+def test_per_shard_substreams_open_in_the_two_draw_loops_only():
+    # SeedSequence(seed, spawn_key=(k,)) opens shard k's substream.  The normals have one loop, gaussian._draw_blocks,
+    # which every estimator collects or folds; iid_maxima draws uniforms.  A third opener is a second draw loop.
+    openers = [
+        f"{path.name}:{function.name}"
+        for path in MODULES
+        for function in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.keyword) and node.arg == "spawn_key" and isinstance(node.value, ast.Tuple)
+    ]
+    assert sorted(openers) == ["gaussian.py:_draw_blocks", "gaussian.py:iid_maxima"]
 
 
 # The only layers allowed to name a missing function: the tracer still points

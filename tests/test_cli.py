@@ -253,30 +253,38 @@ class TestExitCodes:
         assert err.startswith("error: ") and "allocate" in err
 
     @pytest.mark.parametrize(
-        "specs, message",
+        "experiment, specs, message",
         [
             (
+                "bound-check",
                 {"spec_x": {"mean": [0.0, 0.0], "covariance": [[1e308, 0.0], [0.0, 1e308]]}},
                 "increment entries must be finite: the law's scale overflows float64",
             ),
             (
+                "bound-check",
                 {
                     "spec_x": {"mean": [1e308], "covariance": [[1.0]]},
                     "spec_y": {"mean": [-1e308], "covariance": [[1.0]]},
                 },
                 "the gap 1e+308 - -1e+308 of the expected maxima overflows float64",
             ),
+            (
+                # A smooth max near 1e200 times a centered coordinate: its squared residuals pass the float range.
+                "stein-check",
+                {"spec_x": {"mean": [1e200, 0.0], "covariance": [[1.0, 0.0], [0.0, 1.0]]}},
+                "stein residuals must be finite: the functional, its gradient or the law overflows float64",
+            ),
         ],
-        ids=["huge-covariance", "huge-means"],
+        ids=["huge-covariance", "huge-means", "stein-huge-mean"],
     )
-    def test_overflowing_law_prints_only_its_error_line(self, tmp_path, specs, message):
+    def test_overflowing_law_prints_only_its_error_line(self, tmp_path, experiment, specs, message):
         # Run as a process with warnings shown: no numpy RuntimeWarning may
         # precede the error line.
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"samples": 2000, "trials": 1, **specs}))
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="default")
-        argv = [sys.executable, "-m", "sudfer.cli", "bound-check", "--generator", "explicit", "--config", str(path)]
+        argv = [sys.executable, "-m", "sudfer.cli", experiment, "--generator", "explicit", "--config", str(path)]
         proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 1
         assert proc.stderr == f"error: {message}\n"

@@ -17,6 +17,7 @@ from sudfer import (
     increment_matrix,
     phi,
     phi_derivative,
+    random_spec,
     run_experiment,
     sample,
     softmax,
@@ -26,7 +27,7 @@ from sudfer import (
 from sudfer import experiments
 from sudfer.estimator import estimate_from_values
 from sudfer.gaussian import SHARD_ROWS, _covariance_matrix, blended_spec
-from sudfer.interpolation import FD_STEP_CAP, stein_residual_values
+from sudfer.interpolation import FD_STEP_CAP
 from sudfer.smoothmax import smooth_max
 
 
@@ -276,7 +277,7 @@ class TestPathMemory:
     # z block and the row block, and phi_derivative's integrand one more
     # block for p @ diff, next to the n x n increment matrices and the
     # blended laws' covariances.  Measured: phi 3.2 MiB, phi_derivative
-    # 6.9 MiB, stein_residual_values 38.1 MiB.
+    # 6.9 MiB, stein_residuals 6.1 MiB at both 2 and 8 shards.
     N = 256
     BLOCK = 2**20
 
@@ -290,15 +291,19 @@ class TestPathMemory:
         _, peak = traced_peak(lambda: phi_derivative(x, y, SmoothMaxParams(2.0), 0.5, 2 * SHARD_ROWS, 962))
         assert peak <= 3 * self.BLOCK + 5 * 2**20  # 8 MiB
 
-    def test_stein_residual_values_peak_at_their_result_plus_eight_blocks(self, traced_peak):
-        # The (count x n) result, the z and row blocks, and the block-sized
-        # temporaries of the residual: the public functions' private copies,
-        # rows - mean and g @ cov.
+    def test_stein_residuals_peak_is_flat_in_samples(self, traced_peak):
+        # Blocks are folded as they come: the z and row blocks, the block-sized
+        # temporaries of the residual (the public functions' private copies,
+        # rows - mean, g @ cov) and the previous block's residuals, never the
+        # (count x n) matrix of 32 and 128 MiB.
         _, y = dominated_pair(self.N, seed=960, generator="wishart")
-        count = 2 * SHARD_ROWS
-        values, peak = traced_peak(lambda: stein_residual_values(y, SmoothMaxParams(2.0), count, 963))
-        assert values.shape == (count, self.N)
-        assert peak <= count * self.N * 8 + 8 * self.BLOCK  # 40 MiB
+        peaks = []
+        for count in (2 * SHARD_ROWS, 8 * SHARD_ROWS):
+            ests, peak = traced_peak(lambda: stein_residuals(y, SmoothMaxParams(2.0), count, 963))
+            assert len(ests) == self.N
+            peaks.append(peak)
+        assert max(peaks) <= 8 * self.BLOCK
+        assert abs(peaks[1] - peaks[0]) < self.BLOCK
 
 
 class TestSteinResiduals:
@@ -334,13 +339,24 @@ class TestSteinResiduals:
             assert abs(est.value) <= 3.0 * est.stderr
             assert est.stderr <= 5e-3
 
+    # Three shards, the last one cut short: the folded blocks against the whole residual matrix.
+    COUNT = 2 * SHARD_ROWS + 1000
+
+    @staticmethod
+    def assert_folds(ests, values):
+        assert len(ests) == values.shape[1]
+        for i, est in enumerate(ests):
+            expected = estimate_from_values(values[:, i])
+            assert est.value == pytest.approx(expected.value, rel=1e-12)
+            assert est.stderr == pytest.approx(expected.stderr, rel=1e-12)
+
     def test_single_coordinate_accessor(self):
-        spec = iid_spec(3)
-        full = stein_residuals(spec, SmoothMaxParams(1.0), 5000, seed=79)
-        values = stein_residual_values(spec, SmoothMaxParams(1.0), 5000, seed=79)
-        assert len(full) == values.shape[1] == spec.n
-        for i, est in enumerate(full):
-            assert est == estimate_from_values(values[:, i])
+        # A non-centered dense law: each coordinate is centered at its own mean.
+        spec = validate_spec(np.array([0.5, -1.0, 2.0]), random_centered_spec(np.random.default_rng(79), 3).covariance)
+        params = SmoothMaxParams(1.0)
+        rows = sample(spec, self.COUNT, 79)
+        values = (rows - spec.mean) * smooth_max(rows, params)[:, None] - softmax(rows, params) @ spec.covariance
+        self.assert_folds(stein_residuals(spec, params, self.COUNT, seed=79), values)
 
     def test_non_centered_laws_pass_every_coordinate(self):
         # The identity holds for any mean once V_i is centered at mu_i.
@@ -352,20 +368,20 @@ class TestSteinResiduals:
                 assert abs(est.value) <= 3.0 * est.stderr
 
     def test_a_centered_law_keeps_its_residual_bytes(self):
-        # rows - 0.0 is bitwise rows: centered residuals are exactly V_i F(V) - (S grad F)_i.
+        # rows - 0.0 is bitwise rows: centered residuals are V_i F(V) - (S grad F)_i.
         spec = random_centered_spec(np.random.default_rng(85), 3)
         params = SmoothMaxParams(1.5)
-        rows = sample(spec, 3000, 87)
-        expected = rows * smooth_max(rows, params)[:, None] - softmax(rows, params) @ spec.covariance
-        assert np.array_equal(stein_residual_values(spec, params, 3000, 87), expected)
+        rows = sample(spec, self.COUNT, 87)
+        values = rows * smooth_max(rows, params)[:, None] - softmax(rows, params) @ spec.covariance
+        self.assert_folds(stein_residuals(spec, params, self.COUNT, 87), values)
 
     def test_a_diagonal_law_keeps_its_residual_bytes(self):
-        # Stored variances d multiply the gradient entrywise: bitwise the dense product with diag(d).
+        # Stored variances d multiply the gradient entrywise: the dense product with diag(d).
         spec = validate_spec(np.zeros(5), np.random.default_rng(86).uniform(0.1, 3.0, 5))
         params = SmoothMaxParams(1.5)
-        rows = sample(spec, 3000, 88)
-        expected = rows * smooth_max(rows, params)[:, None] - softmax(rows, params) @ np.diag(spec.covariance)
-        assert np.array_equal(stein_residual_values(spec, params, 3000, 88), expected)
+        rows = sample(spec, self.COUNT, 88)
+        values = rows * smooth_max(rows, params)[:, None] - softmax(rows, params) @ np.diag(spec.covariance)
+        self.assert_folds(stein_residuals(spec, params, self.COUNT, 88), values)
 
     def test_functional_and_gradient_must_travel_together(self):
         spec = iid_spec(2)
@@ -373,6 +389,36 @@ class TestSteinResiduals:
             stein_residuals(
                 spec, SmoothMaxParams(1.0), 100, seed=89, functional=lambda rows: rows[:, 0]
             )
+
+    @pytest.mark.parametrize(
+        "functional, gradient",
+        [
+            (lambda rows: 1.0, np.zeros_like),
+            (lambda rows: rows[:-1, 0], np.zeros_like),
+            (lambda rows: rows[:, 0], lambda rows: np.zeros((len(rows), 2))),
+            (lambda rows: rows[:, :1], np.zeros_like),
+        ],
+        ids=["scalar-functional", "functional-a-row-short", "gradient-two-columns", "functional-one-column"],
+    )
+    def test_a_malformed_callable_is_invalid_input(self, functional, gradient):
+        spec = random_spec(3, 1, "wishart")
+        with pytest.raises(InvalidInput, match="functional and gradient shapes .* do not fit rows"):
+            stein_residuals(spec, SmoothMaxParams(1.0), 100, seed=90, functional=functional, gradient=gradient)
+
+    @pytest.mark.parametrize(
+        "spec, gradient",
+        [
+            (validate_spec(np.array([1e200, 0.0]), np.eye(2)), None),
+            (validate_spec(np.zeros(2), np.eye(2)), lambda rows: np.full(rows.shape, np.nan)),
+        ],
+        ids=["overflow", "nan-gradient"],
+    )
+    def test_a_non_finite_residual_is_invalid_input(self, spec, gradient):
+        # The suite turns every RuntimeWarning into an error: the fold prints none.
+        params = SmoothMaxParams(1.0)
+        functional = None if gradient is None else (lambda rows: smooth_max(rows, params))
+        with pytest.raises(InvalidInput, match="stein residuals must be finite"):
+            stein_residuals(spec, params, 100, seed=91, functional=functional, gradient=gradient)
 
 
 class TestPathMonotonicityReport:
